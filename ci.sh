@@ -55,6 +55,19 @@ if [[ "${ORDERLIGHT_TIER2:-0}" != "0" ]]; then
     cargo test --release --test horizon_fuzz -q -- --include-ignored
 fi
 
+# Repository benchmark (perfbench/, declared by BENCHMARK.json): its own
+# tests, then one short traced pass per benchmarked workload. Every op
+# of a pass is digest-checked against perfbench/expected/*.txt, so any
+# change to a simulated statistic fails here with "failed" above 0.
+echo "==> perfbench (self-tests and a digest-checked pass per workload)"
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+for workload in gpu-host serve-mixed; do
+    result="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 1 2>/dev/null | tail -n 1)"
+    grep -q '"failed":0,' <<< "$result" \
+        || { echo "perfbench $workload: ops failed: ${result:0:200}"; exit 1; }
+done
+
 # Ordering-violation oracle gate, per backend: every ordering backend
 # (orderlight, fence, seqnum, louvre, bulk) must run clean under the
 # oracle, and the seeded drop-edge mutation must make the check fire

@@ -206,6 +206,23 @@ impl Bank {
     pub fn next_precharge_at(&self) -> MemCycle {
         self.next_pre
     }
+
+    /// Earliest cycle an ACT may legally issue once the bank is closed
+    /// (absolute timestamp: tRC / tRP).
+    #[must_use]
+    pub(crate) fn next_activate_at(&self) -> MemCycle {
+        self.next_act
+    }
+
+    /// Earliest cycle a column access of `kind` may legally issue to the
+    /// open row (absolute timestamp: tRCD, tCCDL and turnarounds).
+    #[must_use]
+    pub(crate) fn next_column_at(&self, kind: ColKind) -> MemCycle {
+        match kind {
+            ColKind::Read => self.next_rd,
+            ColKind::Write => self.next_wr,
+        }
+    }
 }
 
 /// Quiescence horizon of a bank: the earliest cycle a currently-blocked

@@ -263,22 +263,45 @@ impl Channel {
     /// constraints).
     #[must_use]
     pub fn can_issue(&self, cmd: DramCommand, now: MemCycle) -> bool {
-        if self.in_refresh(now) {
-            return false;
-        }
-        match cmd {
+        self.earliest_issue(cmd, now) == Some(now)
+    }
+
+    /// The first cycle at or after `now` at which `cmd` may legally
+    /// issue if no other command issues first, or `None` if the bank's
+    /// row state rules it out whatever the time (an ACT to an open bank,
+    /// a PRE or column access to a closed one). Timers are absolute and
+    /// saturating, and a cycle inside an in-progress refresh window is
+    /// clamped to the window's end; a refresh that has yet to start is
+    /// not foreseen (callers combine this with
+    /// [`next_refresh_event`](Self::next_refresh_event)).
+    /// `can_issue(cmd, now)` is exactly `earliest_issue(cmd, now) ==
+    /// Some(now)`.
+    #[must_use]
+    pub fn earliest_issue(&self, cmd: DramCommand, now: MemCycle) -> Option<MemCycle> {
+        let at = match cmd {
             DramCommand::Activate { bank, .. } => {
-                now >= self.next_act_any && self.bank(bank).can_activate(now)
+                let b = self.bank(bank);
+                if b.open_row().is_some() {
+                    return None;
+                }
+                self.next_act_any.max(b.next_activate_at())
             }
-            DramCommand::Precharge { bank } => self.bank(bank).can_precharge(now),
+            DramCommand::Precharge { bank } => {
+                let b = self.bank(bank);
+                b.open_row()?;
+                b.next_precharge_at()
+            }
             DramCommand::Column { bank, kind } => {
-                now >= self.next_col
-                    && self
-                        .bank(bank)
-                        .open_row()
-                        .is_some_and(|row| self.bank(bank).can_column(row, kind, now))
+                let b = self.bank(bank);
+                b.open_row()?;
+                self.next_col.max(b.next_column_at(kind))
             }
-        }
+        };
+        let at = at.max(now);
+        Some(match self.refresh_until {
+            Some(until) if at < until => until,
+            _ => at,
+        })
     }
 
     /// Issues `cmd` at `now` if legal; returns whether it issued.
@@ -524,6 +547,59 @@ mod tests {
             c2.maintain(now);
         }
         assert!(c2.can_issue(DramCommand::Activate { bank: BankId(1), row: 0 }, 120));
+    }
+
+    /// The legality rule spelled out independently of `earliest_issue`
+    /// (which `can_issue` now delegates to), for a future cycle `t`
+    /// with no command issued in between.
+    fn legal_at(c: &Channel, cmd: DramCommand, t: MemCycle) -> bool {
+        !c.in_refresh(t)
+            && match cmd {
+                DramCommand::Activate { bank, .. } => {
+                    t >= c.next_act_any && c.bank(bank).can_activate(t)
+                }
+                DramCommand::Precharge { bank } => c.bank(bank).can_precharge(t),
+                DramCommand::Column { bank, kind } => {
+                    t >= c.next_col
+                        && c.bank(bank)
+                            .open_row()
+                            .is_some_and(|row| c.bank(bank).can_column(row, kind, t))
+                }
+            }
+    }
+
+    #[test]
+    fn earliest_issue_is_the_first_legal_cycle() {
+        // A short refresh cadence so windows open and close during the
+        // walk; seeded random legal commands evolve every timer.
+        let r = RefreshParams { interval: 70, rfc: 15 };
+        let mut c = Channel::with_refresh(TimingParams::hbm_table1(), 4, 2048, Some(r));
+        let mut rng = Rng::new(0x0e4_11e5);
+        for now in 0..600 {
+            c.maintain(now);
+            let mut legal_now = Vec::new();
+            for b in 0..4u8 {
+                let bank = BankId(b);
+                for cmd in [
+                    DramCommand::Activate { bank, row: u32::from(b) + 1 },
+                    DramCommand::Precharge { bank },
+                    DramCommand::column(bank, ColKind::Read),
+                    DramCommand::column(bank, ColKind::Write),
+                ] {
+                    let first = (now..now + 400).find(|&t| legal_at(&c, cmd, t));
+                    assert_eq!(c.earliest_issue(cmd, now), first, "{cmd:?} at {now}");
+                    assert_eq!(c.can_issue(cmd, now), first == Some(now), "{cmd:?} at {now}");
+                    if first == Some(now) {
+                        legal_now.push(cmd);
+                    }
+                }
+            }
+            if !legal_now.is_empty() && rng.gen_range(3) == 0 {
+                let cmd = legal_now[rng.gen_index(legal_now.len())];
+                assert!(c.try_issue(cmd, now));
+            }
+        }
+        assert!(c.refreshes() > 0, "the walk must cross refresh windows");
     }
 
     #[test]

@@ -11,7 +11,7 @@ use orderlight::packet::OrderLightPacket;
 use orderlight::rng::Rng;
 use orderlight::slab::Slab;
 use orderlight::types::{BankId, MemCycle, MemGroupId};
-use orderlight::{NextEvent, PimOp};
+use orderlight::{min_horizon, NextEvent, PimOp};
 use orderlight_hbm::{Channel, ColKind, DramCommand, NeededCommand};
 use orderlight_pim::PimUnit;
 use orderlight_trace::{sink::nop_sink, DramCmdKind, SchedSide, SharedSink, TraceEvent};
@@ -142,6 +142,39 @@ enum Side {
     Write,
 }
 
+/// What the controller knows about its own next state change.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Horizon {
+    /// It acted on its last tick, or took input since: the next tick
+    /// may act.
+    Dense,
+    /// Its last tick changed nothing, and until new input arrives no
+    /// tick changes anything before this memory cycle: the earliest
+    /// cycle at which a queued bank head's needed command becomes legal
+    /// or a refresh can fire (`None`: only new input can unblock it).
+    Blocked(Option<MemCycle>),
+}
+
+/// One command class of the issue phase (column, activate or
+/// precharge): the oldest bank head whose needed command is legal now,
+/// and, with an adversary attached, every such bank in bank order.
+#[derive(Debug, Default)]
+struct ClassPick {
+    oldest: Option<(u64, BankId)>,
+    candidates: Vec<BankId>,
+}
+
+impl ClassPick {
+    fn offer(&mut self, arrival: u64, bank: BankId, adversarial: bool) {
+        if adversarial {
+            self.candidates.push(bank);
+        }
+        if self.oldest.is_none_or(|(a, _)| arrival < a) {
+            self.oldest = Some((arrival, bank));
+        }
+    }
+}
+
 /// One memory channel's controller with its DRAM channel and PIM unit.
 ///
 /// # Example
@@ -221,6 +254,8 @@ pub struct MemoryController {
     /// instead of preferring row hits / oldest arrivals — a legal but
     /// hostile schedule.
     adversary: Option<Rng>,
+    /// Set by a tick that changed nothing; cleared by any input.
+    horizon: Horizon,
 }
 
 impl MemoryController {
@@ -245,6 +280,7 @@ impl MemoryController {
             sink: nop_sink(),
             channel_id: 0,
             adversary: None,
+            horizon: Horizon::Dense,
             cfg,
             channel,
             pim,
@@ -259,12 +295,14 @@ impl MemoryController {
     /// functional results must be unchanged on a correct controller.
     pub fn set_adversary(&mut self, seed: u64) {
         self.adversary = Some(Rng::new(seed));
+        self.horizon = Horizon::Dense;
     }
 
     /// Activates the drop-one-ordering-edge mutation for `group` (see
     /// [`OrderingBackend::set_elide_group`]).
     pub fn set_elide_group(&mut self, group: MemGroupId) {
         self.backend.set_elide_group(group);
+        self.horizon = Horizon::Dense;
     }
 
     /// Ordering edges dropped by the elide mutation so far.
@@ -325,6 +363,7 @@ impl MemoryController {
     /// Panics if called while [`can_accept`](Self::can_accept) is false.
     pub fn push(&mut self, req: MemReq) {
         assert!(self.can_accept(&req), "push without backpressure check");
+        self.horizon = Horizon::Dense;
         match req {
             MemReq::Marker(copy) => match copy.marker {
                 Marker::OrderLight(ref packet) | Marker::Release(ref packet) => {
@@ -456,6 +495,16 @@ impl MemoryController {
         }
     }
 
+    /// Whether some request queued on `side` targets a command queue
+    /// with room. Without one no entry of that side can dequeue, and the
+    /// per-target counts answer in O(banks) what the scan would in
+    /// O(entries).
+    fn side_has_room(&self, side: Side) -> bool {
+        let q = self.queue(side);
+        (q.exec_requests() > 0 && self.exec_q.len() < self.cfg.exec_queue_capacity)
+            || q.target_banks().any(|b| self.bank_q[b.index()].len() < self.cfg.bank_queue_capacity)
+    }
+
     /// FR-FCFS pick: preferred queue first (write-drain hysteresis), row
     /// hits over row misses, oldest first within each class. With an
     /// adversary attached, the pick within the preferred queue is instead
@@ -468,6 +517,9 @@ impl MemoryController {
         };
         let adversarial = self.adversary.is_some();
         for side in order {
+            if !self.side_has_room(side) {
+                continue;
+            }
             let mut first_fit = None;
             let mut row_hit = None;
             let mut candidates: Vec<usize> = Vec::new();
@@ -531,9 +583,12 @@ impl MemoryController {
     /// removed. A backend may instead *hold* a fully-collected marker
     /// (Louvre's versioned release): its copies stay queued, still
     /// blocking, until [`OrderingBackend::take_released`] reports the
-    /// drain condition met.
-    fn consume_markers(&mut self) {
-        for (key, packet) in self.backend.take_released() {
+    /// drain condition met. Returns whether any copy was offered or
+    /// released.
+    fn consume_markers(&mut self) -> bool {
+        let released = self.backend.take_released();
+        let mut acted = !released.is_empty();
+        for (key, packet) in released {
             self.finish_merge(&key, &packet);
         }
         loop {
@@ -544,6 +599,7 @@ impl MemoryController {
                 };
                 self.queue_mut(side).mark_first_marker_offered();
                 progress = true;
+                acted = true;
                 match self.backend.on_marker(&copy) {
                     MarkerAction::Merged(packet) => {
                         self.finish_merge(&copy.marker.key(), &packet);
@@ -552,22 +608,24 @@ impl MemoryController {
                 }
             }
             if !progress {
-                break;
+                return acted;
             }
         }
     }
 
     /// Moves eligible transactions from the R/W queues into the per-bank
-    /// (or execute) command queues.
-    fn dequeue_phase(&mut self) {
+    /// (or execute) command queues. Returns whether any moved.
+    fn dequeue_phase(&mut self) -> bool {
         // Write-drain hysteresis.
         if self.write_q.fill_fraction() >= self.cfg.write_drain_high {
             self.draining_writes = true;
         } else if self.write_q.fill_fraction() <= self.cfg.write_drain_low {
             self.draining_writes = false;
         }
+        let mut moved = false;
         for _ in 0..self.cfg.dequeues_per_cycle {
             let Some((side, index)) = self.pick_dequeue() else { break };
+            moved = true;
             let p = self.queue_mut(side).remove_request(index);
             if self.sink.is_enabled() {
                 self.sink.emit(TraceEvent::SchedDecision {
@@ -615,6 +673,7 @@ impl MemoryController {
                 }
             }
         }
+        moved
     }
 
     /// Completes a transaction whose column command just issued (or whose
@@ -713,84 +772,84 @@ impl MemoryController {
         self.stats.last_issue_cycle = now;
     }
 
-    /// Oldest bank whose head transaction can issue `needed` right now.
-    /// With an adversary attached, a uniform pick among all such banks
-    /// replaces the oldest-arrival preference.
-    fn pick_bank(&mut self, needed: NeededCommand, now: MemCycle) -> Option<BankId> {
-        let adversarial = self.adversary.is_some();
-        let mut best: Option<(u64, BankId)> = None;
-        let mut candidates: Vec<BankId> = Vec::new();
-        for (b, q) in self.bank_q.iter().enumerate() {
-            let Some(head) = q.front() else { continue };
-            let bank = BankId(b as u8);
-            if needed == NeededCommand::Column && !self.backend.issue_allowed(head) {
-                continue;
-            }
-            if self.channel.needed_command(bank, head.loc.row) != needed {
-                continue;
-            }
-            let cmd = match needed {
-                NeededCommand::Column => DramCommand::column(
-                    bank,
-                    if head.is_write() { ColKind::Write } else { ColKind::Read },
-                ),
-                NeededCommand::Activate => DramCommand::Activate { bank, row: head.loc.row },
-                NeededCommand::Precharge => DramCommand::Precharge { bank },
-            };
-            if !self.channel.can_issue(cmd, now) {
-                continue;
-            }
-            if adversarial {
-                candidates.push(bank);
-            }
-            if best.is_none_or(|(a, _)| head.arrival < a) {
-                best = Some((head.arrival, bank));
-            }
+    /// The class pick's bank: the oldest legal head, or with an
+    /// adversary attached a uniform draw among the legal heads. The
+    /// generator draws only when the class has a candidate, i.e. only
+    /// for the class the issue phase acts on.
+    fn choose(&mut self, pick: ClassPick) -> Option<BankId> {
+        match self.adversary.as_mut() {
+            Some(_) if pick.candidates.is_empty() => None,
+            Some(rng) => Some(pick.candidates[rng.gen_index(pick.candidates.len())]),
+            None => pick.oldest.map(|(_, b)| b),
         }
-        if let Some(rng) = self.adversary.as_mut() {
-            if !candidates.is_empty() {
-                return Some(candidates[rng.gen_index(candidates.len())]);
-            }
-            return None;
-        }
-        best.map(|(_, b)| b)
     }
 
     /// Issues at most one command this cycle: column accesses first (they
     /// retire transactions), then execute-only PIM commands, then
-    /// activates, then precharges.
-    fn issue_phase(&mut self, now: MemCycle) {
-        if let Some(bank) = self.pick_bank(NeededCommand::Column, now) {
+    /// activates, then precharges. One walk over the bank heads sorts
+    /// each head into the class of its needed command; a head whose
+    /// command is not yet legal contributes the cycle it becomes legal.
+    /// Returns [`Horizon::Dense`] if a command issued, else
+    /// [`Horizon::Blocked`] with the earliest such cycle.
+    fn issue_phase(&mut self, now: MemCycle) -> Horizon {
+        let adversarial = self.adversary.is_some();
+        let mut column = ClassPick::default();
+        let mut activate = ClassPick::default();
+        let mut precharge = ClassPick::default();
+        let mut wake = None;
+        for (b, q) in self.bank_q.iter().enumerate() {
+            let Some(head) = q.front() else { continue };
+            let bank = BankId(b as u8);
+            let (class, cmd) = match self.channel.needed_command(bank, head.loc.row) {
+                NeededCommand::Column => {
+                    // A vetoed column waits on a retire, not on time.
+                    if !self.backend.issue_allowed(head) {
+                        continue;
+                    }
+                    let kind = if head.is_write() { ColKind::Write } else { ColKind::Read };
+                    (&mut column, DramCommand::column(bank, kind))
+                }
+                NeededCommand::Activate => {
+                    (&mut activate, DramCommand::Activate { bank, row: head.loc.row })
+                }
+                NeededCommand::Precharge => (&mut precharge, DramCommand::Precharge { bank }),
+            };
+            match self.channel.earliest_issue(cmd, now) {
+                Some(at) if at == now => class.offer(head.arrival, bank, adversarial),
+                at => wake = min_horizon(wake, at),
+            }
+        }
+        if let Some(bank) = self.choose(column) {
             let txn = self.bank_q[bank.index()].front().expect("picked bank has head");
             let kind = if txn.is_write() { ColKind::Write } else { ColKind::Read };
             let issued = self.channel.try_issue(DramCommand::column(bank, kind), now);
-            debug_assert!(issued, "pick_bank checked legality");
+            debug_assert!(issued, "the walk checked legality");
             let txn = self.bank_q[bank.index()].pop_front().expect("head exists");
             self.bank_queued -= 1;
             self.complete(txn, now);
-            return;
+            return Horizon::Dense;
         }
         if self.exec_q.front().is_some_and(|head| self.backend.issue_allowed(head)) {
             let txn = self.exec_q.pop_front().expect("peeked head");
             self.complete(txn, now);
-            return;
+            return Horizon::Dense;
         }
-        if let Some(bank) = self.pick_bank(NeededCommand::Activate, now) {
+        if let Some(bank) = self.choose(activate) {
             let row = self.bank_q[bank.index()].front().expect("head exists").loc.row;
             let issued = self.channel.try_issue(DramCommand::Activate { bank, row }, now);
             debug_assert!(issued);
             self.record(now, format!("ACT b{} r{row}", bank.0), None, None);
             self.stats.activates += 1;
             self.stats.last_issue_cycle = now;
-            return;
+            return Horizon::Dense;
         }
-        if let Some(bank) = self.pick_bank(NeededCommand::Precharge, now) {
+        if let Some(bank) = self.choose(precharge) {
             let issued = self.channel.try_issue(DramCommand::Precharge { bank }, now);
             debug_assert!(issued);
             self.record(now, format!("PRE b{}", bank.0), None, None);
             self.stats.precharges += 1;
             self.stats.last_issue_cycle = now;
-            return;
+            return Horizon::Dense;
         }
         if self.cfg.page_policy == PagePolicy::Closed {
             // Eagerly close any open row no queued transaction wants.
@@ -804,16 +863,18 @@ impl MemoryController {
                     self.record(now, format!("PRE b{} (closed-page)", bank.0), None, None);
                     self.stats.precharges += 1;
                     self.stats.last_issue_cycle = now;
-                    return;
+                    return Horizon::Dense;
                 }
             }
         }
+        Horizon::Blocked(wake)
     }
 
     /// Advances the controller by one memory cycle; returns responses
     /// (load data, fence acks) to send back up the pipe.
     pub fn tick(&mut self, now: MemCycle) -> Vec<MemResp> {
         self.arrival_cycle = now;
+        let refreshes = self.channel.refreshes();
         self.channel.maintain(now);
         self.read_q.record_tick();
         self.write_q.record_tick();
@@ -827,24 +888,42 @@ impl MemoryController {
                 write_q: self.write_q.len() as u32,
             });
         }
-        self.consume_markers();
-        self.dequeue_phase();
-        self.issue_phase(now);
+        let markers = self.consume_markers();
+        let dequeued = self.dequeue_phase();
+        let issue = self.issue_phase(now);
+        let quiet = !markers
+            && !dequeued
+            && self.out.is_empty()
+            && self.channel.refreshes() == refreshes
+            && self.cfg.page_policy == PagePolicy::Open;
+        // A tick that changed nothing leaves every scheduling answer as
+        // it was (none depends on the cycle), so the next tick that can
+        // act is the first at which a DRAM timer expires or a refresh
+        // fires. Closed-page controllers stay dense: their eager
+        // precharge scan does not report a wake-up cycle.
+        self.horizon = match issue {
+            Horizon::Blocked(wake) if quiet => Horizon::Blocked(min_horizon(
+                wake,
+                self.channel.next_refresh_event(now.saturating_add(1)),
+            )),
+            _ => Horizon::Dense,
+        };
         std::mem::take(&mut self.out)
     }
 
     /// Advances the controller across `ticks` quiescent memory cycles
     /// starting at `now` — cycles in which [`tick`](Self::tick) would
-    /// find the controller idle and change nothing beyond per-cycle
-    /// bookkeeping. Replays that bookkeeping in closed form: the
-    /// occupancy integrals (at occupancy zero), the write-drain
-    /// hysteresis (which re-evaluates an empty queue every cycle), the
-    /// arrival stamp used for requests pushed between memory ticks,
-    /// and — with a live sink — the periodic queue samples the dense
-    /// loop would have emitted at every `SAMPLE_STRIDE` boundary inside
-    /// the window (the controller is idle, so each sample reads the
-    /// constant occupancies, making the event core's sample stream
-    /// byte-identical to the dense core's).
+    /// change nothing beyond per-cycle bookkeeping, because the
+    /// controller is idle or blocked (its last tick changed nothing and
+    /// its [`NextEvent`] horizon lies at or past the window's end).
+    /// Replays that bookkeeping in closed form: the occupancy integrals
+    /// (at the window's constant occupancy), the write-drain hysteresis
+    /// (which re-evaluates the same fill every cycle), the arrival
+    /// stamp used for requests pushed between memory ticks, and — with
+    /// a live sink — the periodic queue samples the dense loop would
+    /// have emitted at every `SAMPLE_STRIDE` boundary inside the window
+    /// (each reads the constant occupancies, making the event core's
+    /// sample stream byte-identical to the dense core's).
     ///
     /// The caller must not skip across a refresh trigger;
     /// [`Channel::next_refresh_event`] is a horizon event precisely so
@@ -853,7 +932,12 @@ impl MemoryController {
         if ticks == 0 {
             return;
         }
-        debug_assert!(self.is_idle(), "skip_ticks on an active controller");
+        debug_assert!(
+            self.is_idle()
+                || matches!(self.horizon, Horizon::Blocked(at)
+                    if at.is_none_or(|at| at >= now + ticks)),
+            "skip_ticks across a cycle on which the controller acts"
+        );
         debug_assert!(
             self.channel.next_refresh_event(now).is_none_or(|due| due >= now + ticks),
             "skip_ticks window crosses a refresh trigger"
@@ -875,9 +959,9 @@ impl MemoryController {
         self.arrival_cycle = now + ticks - 1;
         self.read_q.record_ticks(ticks);
         self.write_q.record_ticks(ticks);
-        // dequeue_phase re-runs the hysteresis comparison every cycle
-        // even when both queues are empty; one evaluation at the final
-        // occupancy is equivalent for a window in which it is constant.
+        // dequeue_phase re-runs the hysteresis comparison every cycle;
+        // one evaluation at the final occupancy is equivalent for a
+        // window in which it is constant.
         if self.write_q.fill_fraction() >= self.cfg.write_drain_high {
             self.draining_writes = true;
         } else if self.write_q.fill_fraction() <= self.cfg.write_drain_low {
@@ -919,6 +1003,7 @@ impl MemoryController {
 
     /// Mutable DRAM channel access (workload data initialisation).
     pub fn channel_mut(&mut self) -> &mut Channel {
+        self.horizon = Horizon::Dense;
         &mut self.channel
     }
 
@@ -935,17 +1020,32 @@ impl MemoryController {
     }
 }
 
-/// Quiescence horizon in *memory* cycles. An active controller (any
-/// queue non-empty, fences pending, ordering state live, or responses
-/// buffered) reports `Some(now)`: its tick loop makes scheduling
-/// decisions every cycle and must run densely. A closed-page
-/// controller with a row still open also reports `Some(now)` — the
-/// eager precharge scan in the issue phase retries every cycle until
-/// the row closes. An idle controller's only future event is the
-/// channel's refresh trigger; with refresh disabled it is fully
-/// drained (`None`).
+/// Quiescence horizon in *memory* cycles. A *blocked* controller — its
+/// last tick offered, merged or released no marker, dequeued nothing,
+/// issued no command, returned no response and saw no refresh —
+/// reports the horizon that tick cached: the earliest cycle at which a
+/// queued bank head's needed command becomes legal
+/// ([`Channel::earliest_issue`]) or a refresh can fire, or `None` if
+/// only new input can unblock it. No scheduling answer depends on the
+/// cycle, so every tick before that horizon is a no-op. Input clears
+/// the cache ([`push`](MemoryController::push),
+/// [`channel_mut`](MemoryController::channel_mut), the fault setters).
+/// Otherwise an active controller (queued work, fences pending,
+/// ordering state live, or responses buffered) reports `Some(now)`. A
+/// closed-page controller never caches a horizon, and with a row still
+/// open it too reports `Some(now)`: the eager precharge scan in the
+/// issue phase retries every cycle until the row closes. An idle
+/// controller's only future event is the channel's refresh trigger;
+/// with refresh disabled it is fully drained (`None`).
 impl NextEvent for MemoryController {
     fn next_event(&self, now: u64) -> Option<u64> {
+        if let Horizon::Blocked(at) = self.horizon {
+            debug_assert!(
+                at.is_none_or(|at| at >= now),
+                "a blocked controller was not woken at its horizon"
+            );
+            return at;
+        }
         if !self.is_idle() {
             return Some(now);
         }
@@ -978,8 +1078,10 @@ mod tests {
     use orderlight::packet::OrderLightPacket;
     use orderlight::types::{Addr, ChannelId, GlobalWarpId, MemGroupId, Stripe, TsSlot};
     use orderlight::{AluOp, PimInstruction, Reg};
-    use orderlight_hbm::TimingParams;
+    use orderlight_hbm::{RefreshParams, TimingParams};
     use orderlight_pim::TsSize;
+    use orderlight_trace::RingSink;
+    use std::sync::Arc;
 
     fn mc() -> MemoryController {
         let cfg = McConfig::default();
@@ -1256,6 +1358,208 @@ mod tests {
         m.push(pim_req(PimOp::Load, 0, 0, 0));
         let (_, _) = run_until_idle(&mut m);
         assert!(m.trace().is_empty());
+    }
+
+    /// Everything a tick can change that the harness below compares.
+    fn fingerprint(m: &MemoryController) -> String {
+        let open_rows: Vec<_> = (0..m.channel.num_banks())
+            .map(|b| m.channel.bank(BankId(b as u8)).open_row())
+            .collect();
+        let bank_q: Vec<_> = m.bank_q.iter().map(VecDeque::len).collect();
+        format!(
+            "{:?} {} {} {} {bank_q:?} {} {open_rows:?} {} {} {}",
+            m.stats(),
+            m.channel.refreshes(),
+            m.read_q.len(),
+            m.write_q.len(),
+            m.exec_q.len(),
+            m.read_q.ready_unoffered_marker().is_some(),
+            m.write_q.ready_unoffered_marker().is_some(),
+            m.backend.is_idle(),
+        )
+    }
+
+    /// What an acting tick did, for naming the window a sleep covered.
+    fn action(before: &McStats, after: &McStats, refreshed: bool) -> &'static str {
+        if refreshed {
+            "REF"
+        } else if after.activates > before.activates {
+            "ACT"
+        } else if after.precharges > before.precharges {
+            "PRE"
+        } else if after.col_reads + after.col_writes > before.col_reads + before.col_writes {
+            "COL"
+        } else {
+            "other"
+        }
+    }
+
+    /// One sleep of the event-driven controller: the action before it,
+    /// the cycle of that action, the wake-up cycle and the wake-up
+    /// tick's action.
+    type Sleep = (&'static str, MemCycle, MemCycle, &'static str);
+
+    /// Drives two identically built controllers with the same pushes:
+    /// `dense` ticks every cycle, `event` only when its `next_event`
+    /// says so, replaying the windows in between with `skip_ticks`.
+    /// Checks the horizon law — every cycle on which the dense copy
+    /// changes state is one the event copy ticks, and a blocked
+    /// horizon is exactly the dense copy's next change — and that both
+    /// end with equal statistics, occupancy means and trace streams
+    /// (queue samples included). Returns the event copy's sleeps.
+    fn drive_pair(
+        build: impl Fn() -> MemoryController,
+        pushes: &[(MemCycle, MemReq)],
+        end: MemCycle,
+    ) -> Vec<Sleep> {
+        let (ring_d, ring_e) = (Arc::new(RingSink::new(1 << 16)), Arc::new(RingSink::new(1 << 16)));
+        let (mut dense, mut event) = (build(), build());
+        dense.set_sink(ring_d.clone(), 0);
+        event.set_sink(ring_e.clone(), 0);
+        let mut changes = Vec::new();
+        let mut synced = 0;
+        let mut sleeps = Vec::new();
+        let mut last_action = ("none", 0);
+        let mut asleep: Option<(MemCycle, Option<MemCycle>)> = None;
+        for t in 0..end {
+            for (_, req) in pushes.iter().filter(|(at, _)| *at == t) {
+                event.skip_ticks(synced, t - synced);
+                synced = t;
+                dense.push(req.clone());
+                event.push(req.clone());
+                asleep = None;
+            }
+            let before = fingerprint(&dense);
+            let out_d = dense.tick(t);
+            if !out_d.is_empty() || fingerprint(&dense) != before {
+                changes.push(t);
+            }
+            if event.next_event(t) != Some(t) {
+                assert!(changes.last() != Some(&t), "dense copy acted at {t}, event copy slept");
+                continue;
+            }
+            event.skip_ticks(synced, t - synced);
+            let (stats, refreshes) = (event.stats(), event.channel.refreshes());
+            let before = fingerprint(&event);
+            let out_e = event.tick(t);
+            synced = t + 1;
+            assert_eq!(format!("{out_e:?}"), format!("{out_d:?}"), "responses at {t}");
+            let acted = !out_e.is_empty() || fingerprint(&event) != before;
+            if let Some((quiet, at)) = asleep.take() {
+                // A blocked horizon is exact: the dense copy's first
+                // change after the quiet tick happens at it.
+                assert_eq!(Some(t), at, "woke at {t}, horizon {at:?}");
+                assert_eq!(changes.iter().find(|&&c| c > quiet), Some(&t), "sleep {quiet}..{t}");
+                let now = action(&stats, &event.stats(), event.channel.refreshes() > refreshes);
+                sleeps.push((last_action.0, last_action.1, t, now));
+            }
+            if acted {
+                let kind = action(&stats, &event.stats(), event.channel.refreshes() > refreshes);
+                last_action = (kind, t);
+            } else {
+                let at = event.next_event(t + 1);
+                assert!(at.is_none_or(|at| at > t), "a quiet tick's horizon lies ahead");
+                asleep = Some((t, at));
+            }
+        }
+        event.skip_ticks(synced, end - synced);
+        assert_eq!(event.stats(), dense.stats());
+        assert_eq!(event.mean_queue_occupancy(), dense.mean_queue_occupancy());
+        assert_eq!(ring_e.events(), ring_d.events(), "trace streams, queue samples included");
+        assert!(ring_d.events().iter().any(|e| matches!(e, TraceEvent::QueueSample { .. })));
+        sleeps
+    }
+
+    fn row_addr(m: &MemoryController, row: u64) -> u64 {
+        // Rows of bank 0, channel 0 are 2048 bytes apart (see above).
+        m.cfg.mapping.compose(ChannelId(0), row * 2048).0
+    }
+
+    #[test]
+    fn blocked_horizon_covers_activate_to_column() {
+        let t = TimingParams::hbm_table1();
+        let pushes = [(3, pim_req(PimOp::Load, 0, 0, 0))];
+        let sleeps = drive_pair(mc, &pushes, 200);
+        assert!(
+            sleeps
+                .iter()
+                .any(|&(a, at, wake, w)| a == "ACT" && w == "COL" && wake == at + t.rcd_rd),
+            "{sleeps:?}"
+        );
+    }
+
+    #[test]
+    fn blocked_horizon_covers_precharge_to_activate() {
+        let t = TimingParams::hbm_table1();
+        let m = mc();
+        let pushes = [
+            (0, pim_req(PimOp::Load, row_addr(&m, 0), 0, 0)),
+            (0, pim_req(PimOp::Load, row_addr(&m, 1), 1, 1)),
+        ];
+        let sleeps = drive_pair(mc, &pushes, 300);
+        assert!(
+            sleeps.iter().any(|&(a, at, wake, w)| a == "PRE" && w == "ACT" && wake == at + t.rp),
+            "{sleeps:?}"
+        );
+    }
+
+    #[test]
+    fn blocked_horizon_covers_column_to_column() {
+        let t = TimingParams::hbm_table1();
+        let pushes: Vec<_> = (0..4u64).map(|i| (0, pim_req(PimOp::Load, i * 32, 0, i))).collect();
+        let sleeps = drive_pair(mc, &pushes, 200);
+        assert!(
+            sleeps.iter().any(|&(a, at, wake, w)| a == "COL" && w == "COL" && wake == at + t.ccdl),
+            "{sleeps:?}"
+        );
+    }
+
+    fn mc_with_refresh(r: RefreshParams) -> MemoryController {
+        let channel = Channel::with_refresh(TimingParams::hbm_table1(), 16, 2048, Some(r));
+        MemoryController::new(McConfig::default(), channel, PimUnit::new(TsSize::Half, 2048, 16))
+    }
+
+    #[test]
+    fn blocked_horizon_covers_refresh_windows() {
+        let r = RefreshParams { interval: 100, rfc: 20 };
+        let build = || mc_with_refresh(r);
+        // A load just before the first refresh keeps its row open past
+        // the due cycle (the refresh waits for tRAS) while a row
+        // conflict queues behind it; a load arriving inside the second
+        // refresh window waits it out.
+        let m = build();
+        let pushes = [
+            (90, pim_req(PimOp::Load, row_addr(&m, 0), 0, 0)),
+            (95, pim_req(PimOp::Load, row_addr(&m, 1), 1, 1)),
+            (235, pim_req(PimOp::Load, 64, 2, 2)),
+        ];
+        let sleeps = drive_pair(build, &pushes, 400);
+        // Slept until the deferred refresh could fire...
+        assert!(sleeps.iter().any(|&(_, _, _, w)| w == "REF"), "{sleeps:?}");
+        // ...then through its window to the window's end...
+        assert!(
+            sleeps.iter().any(|&(a, at, wake, w)| a == "REF" && w == "ACT" && wake == at + r.rfc),
+            "{sleeps:?}"
+        );
+        // ...and a request arriving mid-window slept to the same end.
+        let second = 90 + TimingParams::hbm_table1().ras + r.interval;
+        assert!(sleeps.iter().any(|&(_, _, wake, w)| w == "ACT" && wake == second + r.rfc));
+
+        // A refresh falling due while a row conflict waits out tRP cuts
+        // the sleep short: the refresh, not the activate, is the wake-up.
+        let t = TimingParams::hbm_table1();
+        let r = RefreshParams { interval: t.ras + t.rp / 2, rfc: 20 };
+        let build = || mc_with_refresh(r);
+        let m = build();
+        let pushes = [
+            (0, pim_req(PimOp::Load, row_addr(&m, 0), 0, 0)),
+            (0, pim_req(PimOp::Load, row_addr(&m, 1), 1, 1)),
+        ];
+        let sleeps = drive_pair(build, &pushes, 200);
+        assert!(
+            sleeps.iter().any(|&(a, _, wake, w)| a == "PRE" && w == "REF" && wake == r.interval),
+            "{sleeps:?}"
+        );
     }
 
     #[test]

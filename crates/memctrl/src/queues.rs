@@ -9,7 +9,7 @@
 use orderlight::mapping::Location;
 use orderlight::message::{Marker, MarkerCopy, ReqMeta};
 use orderlight::slab::SlabRef;
-use orderlight::types::MemGroupId;
+use orderlight::types::{BankId, MemGroupId};
 use std::collections::VecDeque;
 
 /// Whether a marker constrains requests of memory group `group`.
@@ -68,6 +68,26 @@ pub enum QueueEntry {
     },
 }
 
+/// The set of memory groups constrained by the marker copies seen so
+/// far in a queue scan: one bit per possible [`MemGroupId`] value.
+#[derive(Debug, Clone, Copy, Default)]
+struct GroupMask([u64; 4]);
+
+impl GroupMask {
+    /// Adds every group `copy` constrains (see [`marker_constrains`]).
+    fn add_marker(&mut self, copy: &MarkerCopy) {
+        if let Marker::OrderLight(p) | Marker::Release(p) = &copy.marker {
+            for g in p.groups() {
+                self.0[usize::from(g.0 / 64)] |= 1 << (g.0 % 64);
+            }
+        }
+    }
+
+    fn contains(&self, group: MemGroupId) -> bool {
+        self.0[usize::from(group.0 / 64)] & 1 << (group.0 % 64) != 0
+    }
+}
+
 /// A bounded FIFO transaction queue with marker-aware dequeue.
 #[derive(Debug, Clone)]
 pub struct TransQueue {
@@ -75,6 +95,12 @@ pub struct TransQueue {
     capacity: usize,
     occupancy_integral: u64,
     ticks: u64,
+    /// Queued requests per target bank, indexed by bank (grown on
+    /// demand), so the scheduler can tell in O(banks) whether any
+    /// request could fit a command queue with room.
+    bank_requests: Vec<usize>,
+    /// Queued execute-only requests (no DRAM access, no bank).
+    exec_requests: usize,
 }
 
 impl TransQueue {
@@ -85,7 +111,14 @@ impl TransQueue {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
-        TransQueue { entries: VecDeque::new(), capacity, occupancy_integral: 0, ticks: 0 }
+        TransQueue {
+            entries: VecDeque::new(),
+            capacity,
+            occupancy_integral: 0,
+            ticks: 0,
+            bank_requests: Vec::new(),
+            exec_requests: 0,
+        }
     }
 
     /// Whether another entry can be accepted.
@@ -120,7 +153,30 @@ impl TransQueue {
     /// backpressure upstream.
     pub fn push(&mut self, entry: QueueEntry) {
         assert!(self.has_space(), "transaction queue overflow");
+        if let QueueEntry::Request(p) = &entry {
+            match p.loc {
+                Some(loc) => {
+                    let b = loc.bank.index();
+                    if b >= self.bank_requests.len() {
+                        self.bank_requests.resize(b + 1, 0);
+                    }
+                    self.bank_requests[b] += 1;
+                }
+                None => self.exec_requests += 1,
+            }
+        }
         self.entries.push_back(entry);
+    }
+
+    /// Banks targeted by at least one queued request, ascending.
+    pub(crate) fn target_banks(&self) -> impl Iterator<Item = BankId> + '_ {
+        self.bank_requests.iter().enumerate().filter(|(_, &n)| n > 0).map(|(b, _)| BankId(b as u8))
+    }
+
+    /// Queued execute-only requests (those with no bank).
+    #[must_use]
+    pub(crate) fn exec_requests(&self) -> usize {
+        self.exec_requests
     }
 
     /// Records one cycle of occupancy statistics.
@@ -200,7 +256,8 @@ impl TransQueue {
     /// oldest first, scanning at most `scan_depth` eligible entries. A
     /// request is eligible if no marker constraining its group sits ahead
     /// of it and `group_blocked` is false for its group (the OrderLight
-    /// flag state).
+    /// flag state). The markers passed so far are folded into one group
+    /// bitmask, so each entry costs O(1) whatever the marker count.
     ///
     /// `elide` is the drop-edge mutation hook: requests of that group
     /// ignore in-queue markers entirely (the barrier half of the mutation
@@ -212,19 +269,18 @@ impl TransQueue {
         elide: Option<MemGroupId>,
         scan_depth: usize,
     ) -> impl Iterator<Item = (usize, &'q PendingReq)> + 'q {
-        let mut blocking: Vec<&MarkerCopy> = Vec::new();
+        let mut blocking = GroupMask::default();
         self.entries
             .iter()
             .enumerate()
             .filter_map(move |(i, e)| match e {
                 QueueEntry::Marker { copy, .. } => {
-                    blocking.push(copy);
+                    blocking.add_marker(copy);
                     None
                 }
                 QueueEntry::Request(p) => {
                     if group_blocked(p.group)
-                        || (elide != Some(p.group)
-                            && blocking.iter().any(|m| marker_constrains(m, p.group)))
+                        || (elide != Some(p.group) && blocking.contains(p.group))
                     {
                         None
                     } else {
@@ -241,7 +297,13 @@ impl TransQueue {
     /// Panics if `index` does not hold a request.
     pub fn remove_request(&mut self, index: usize) -> PendingReq {
         match self.entries.remove(index) {
-            Some(QueueEntry::Request(p)) => p,
+            Some(QueueEntry::Request(p)) => {
+                match p.loc {
+                    Some(loc) => self.bank_requests[loc.bank.index()] -= 1,
+                    None => self.exec_requests -= 1,
+                }
+                p
+            }
             other => panic!("index {index} did not hold a request: {other:?}"),
         }
     }
@@ -384,6 +446,125 @@ mod tests {
         assert!(!q.has_space());
         assert!((q.fill_fraction() - 1.0).abs() < f64::EPSILON);
         assert!((q.mean_occupancy() - 1.5).abs() < f64::EPSILON);
+    }
+
+    /// The eligibility rule as the marker-list definition states it.
+    fn eligible_by_marker_list(
+        q: &TransQueue,
+        blocked: MemGroupId,
+        elide: Option<MemGroupId>,
+        depth: usize,
+    ) -> Vec<usize> {
+        let mut markers: Vec<&MarkerCopy> = Vec::new();
+        let mut out = Vec::new();
+        for (i, e) in q.entries.iter().enumerate() {
+            match e {
+                QueueEntry::Marker { copy, .. } => markers.push(copy),
+                QueueEntry::Request(p) => {
+                    let held = elide != Some(p.group)
+                        && markers.iter().any(|m| marker_constrains(m, p.group));
+                    if p.group != blocked && !held {
+                        out.push(i);
+                    }
+                }
+            }
+        }
+        out.truncate(depth);
+        out
+    }
+
+    #[test]
+    fn target_counts_and_group_mask_match_their_definitions() {
+        use orderlight::mapping::Location;
+        use orderlight::rng::Rng;
+        use orderlight::types::BankId;
+        // Packets carry up to two extra groups (marker keys hold 4-bit
+        // group ids); requests also use ids from every mask word.
+        const GROUPS: [u8; 5] = [0, 1, 3, 7, 15];
+        const REQUEST_GROUPS: [u8; 8] = [0, 1, 3, 7, 15, 63, 64, 200];
+        let mut rng = Rng::new(0x7a65_0b1c);
+        let mut arena = Slab::new();
+        for _round in 0..40 {
+            let mut q = TransQueue::new(48);
+            let mut number = 0;
+            for _op in 0..200 {
+                let group = |rng: &mut Rng| MemGroupId(GROUPS[rng.gen_index(GROUPS.len())]);
+                match rng.gen_range(10) {
+                    0..=4 if q.has_space() => {
+                        let loc = (rng.gen_range(4) != 0).then(|| Location {
+                            channel: ChannelId(0),
+                            bank: BankId(rng.gen_range(16) as u8),
+                            row: 0,
+                            col: 0,
+                        });
+                        q.push(QueueEntry::Request(PendingReq {
+                            req: arena.insert(()),
+                            pim: true,
+                            meta: ReqMeta { warp: GlobalWarpId(0), seq: 0 },
+                            loc,
+                            group: MemGroupId(REQUEST_GROUPS[rng.gen_index(REQUEST_GROUPS.len())]),
+                            arrival: 0,
+                        }));
+                    }
+                    5 if q.has_space() => {
+                        number += 1;
+                        let extra: Vec<_> =
+                            (0..rng.gen_range(3)).map(|_| group(&mut rng)).collect();
+                        let packet = OrderLightPacket::with_groups(
+                            ChannelId(0),
+                            group(&mut rng),
+                            &extra,
+                            number,
+                        )
+                        .expect("two extra groups fit");
+                        let copy = diverge(Marker::OrderLight(packet), 2).pop().unwrap();
+                        q.push(QueueEntry::Marker { copy, offered: false });
+                    }
+                    6..=8 => {
+                        let requests: Vec<usize> = q
+                            .entries
+                            .iter()
+                            .enumerate()
+                            .filter(|(_, e)| matches!(e, QueueEntry::Request(_)))
+                            .map(|(i, _)| i)
+                            .collect();
+                        if !requests.is_empty() {
+                            q.remove_request(requests[rng.gen_index(requests.len())]);
+                        }
+                    }
+                    _ => {
+                        if let Some(copy) = q.ready_unoffered_marker().cloned() {
+                            q.mark_first_marker_offered();
+                            assert!(q.pop_marker_by_key(&copy.marker.key()));
+                        }
+                    }
+                }
+                let mut banks = [0usize; 16];
+                let mut exec = 0;
+                for e in &q.entries {
+                    if let QueueEntry::Request(p) = e {
+                        match p.loc {
+                            Some(loc) => banks[loc.bank.index()] += 1,
+                            None => exec += 1,
+                        }
+                    }
+                }
+                for (b, &n) in banks.iter().enumerate() {
+                    assert_eq!(q.bank_requests.get(b).copied().unwrap_or(0), n, "bank {b}");
+                }
+                let targets: Vec<_> = q.target_banks().collect();
+                let nonzero: Vec<_> =
+                    (0..16).filter(|&b| banks[b] > 0).map(|b| BankId(b as u8)).collect();
+                assert_eq!(targets, nonzero);
+                assert_eq!(q.exec_requests(), exec);
+                let blocked = group(&mut rng);
+                let elide = (rng.gen_range(4) == 0).then(|| group(&mut rng));
+                let depth = 1 + rng.gen_index(20);
+                let by_mask: Vec<usize> =
+                    q.eligible(|g| g == blocked, elide, depth).map(|(i, _)| i).collect();
+                assert_eq!(by_mask, eligible_by_marker_list(&q, blocked, elide, depth));
+            }
+        }
     }
 
     #[test]

@@ -258,8 +258,10 @@ impl MemoryPipe {
 /// earliest head deadline among the stage queues. The L2-out and
 /// response heads are clamped to `now`: a ready out head is either
 /// consumable by the controller (the system pairs `peek_mc` with
-/// `can_accept`) or the controller is active and forces dense ticking
-/// anyway, and a ready response head is always deliverable.
+/// `can_accept`) or refused by a full controller queue, and the pipe
+/// then polls every cycle until the controller makes room (the
+/// controller itself may sleep meanwhile: only its own dequeue frees
+/// space); a ready response head is always deliverable.
 impl NextEvent for MemoryPipe {
     fn next_event(&self, now: u64) -> Option<u64> {
         let mut h = None;

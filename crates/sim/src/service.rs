@@ -546,6 +546,10 @@ fn run_job(spec: &ScenarioSpec) -> Result<String, String> {
 /// on EOF, socket error or shutdown.
 fn handle_connection(stream: TcpStream, shared: &Shared, self_addr: SocketAddr) {
     let _ = stream.set_read_timeout(Some(READ_POLL));
+    // A request is answered with several small reply lines (accepted,
+    // running, result); with Nagle's algorithm on, each line after the
+    // first waits for the client's delayed ACK (tens of ms).
+    let _ = stream.set_nodelay(true);
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
@@ -894,9 +898,9 @@ fn write_reply(writer: &mut TcpStream, reply: &Value, shared: &Shared) -> bool {
 /// Propagates connection and write failures.
 pub fn request(addr: &str, line: &str) -> std::io::Result<Vec<String>> {
     let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
+    writer.write_all(format!("{line}\n").as_bytes())?;
     let mut replies = Vec::new();
     for reply in BufReader::new(stream).lines() {
         let reply = reply?;

@@ -264,9 +264,11 @@ impl System {
     /// (SMs and pipes keep their current sink). Observers consume the
     /// ordering vocabulary — `ReqEnqueued` / `ReqIssued` /
     /// `PacketEnqueued` / `FenceAck` — which both execution cores emit
-    /// identically: those events fire only on densely-executed memory
-    /// cycles (an active controller pins the quiescence horizon to
-    /// `now`). Controller-side periodic detail (queue samples) is
+    /// identically: those events fire only on memory ticks that act, and
+    /// the event core executes every such tick (a controller that acted
+    /// ticks again on the next memory cycle; one whose tick changed
+    /// nothing sleeps until its earliest legal DRAM command or refresh,
+    /// or new input). Controller-side periodic detail (queue samples) is
     /// synthesized at skip boundaries, so it too matches across cores;
     /// use [`attach_sink`](Self::attach_sink) to also capture SM and
     /// NoC events. A later `attach_sink`/`attach_observer` call
@@ -605,9 +607,14 @@ impl System {
                 ev.due_sm[c] = true;
             } else if c < mc_base {
                 ev.due_pipe[c - pipe_base] = true;
+            } else {
+                // A due controller forces the cycle to execute; phase 4
+                // re-derives per-tick activity from `next_event`
+                // directly. Marking it touched re-files its horizon
+                // afterwards, so a wake-up that earliest-wins kept ahead
+                // of a later blocked horizon cannot strand it.
+                ev.touched_mc[c - mc_base] = true;
             }
-            // A due controller only forces the cycle to execute; phase 4
-            // re-derives per-tick activity from `next_event` directly.
         }
 
         // 1. Due SMs issue.

@@ -158,10 +158,16 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses a complete JSON document. Trailing non-whitespace is an error.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so a bound keeps a hostile document (say, a wire
+/// line of 200,000 `[`) a typed error instead of a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a complete JSON document. Trailing non-whitespace is an error,
+/// and so is nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let bytes = input.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser { bytes, pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -198,6 +204,8 @@ pub fn escape(s: &str) -> String {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -235,8 +243,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => self.string().map(Value::Str),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -428,6 +443,20 @@ mod tests {
         assert_eq!(a[0].as_f64(), Some(1.0));
         assert_eq!(a[2].get("b"), Some(&Value::Null));
         assert_eq!(doc.get("c").unwrap().get("d").unwrap().as_str(), Some("e"));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        // Objects count too, and a hostile unterminated line is a typed
+        // error, not a stack overflow.
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(parse(&objects).unwrap_err().message.contains("nesting"));
+        assert!(parse(&"[".repeat(200_000)).unwrap_err().message.contains("nesting"));
     }
 
     #[test]

@@ -22,11 +22,18 @@
 //! The first [`SMALL_CASES`] cases of the stream run in the fast tier;
 //! the full [`FULL_CASES`]-case gauntlet is tier 2 (`--include-ignored`
 //! or `ORDERLIGHT_TIER2=1 ./ci.sh`).
+//!
+//! A second stream, under [`POLICY_SEED`], draws the controller-policy
+//! axes the first leaves at their defaults: the GPU baseline (host
+//! reads and writes), closed-page row management, refresh storms, the
+//! adversarial scheduler, and small command queues and scan depths —
+//! the settings under which a controller's blocked horizon is most
+//! often cut short or never cached.
 
-use orderlight_suite::core::fault::FaultPlan;
+use orderlight_suite::core::fault::{FaultPlan, RefreshStorm};
 use orderlight_suite::core::rng::Rng;
 use orderlight_suite::hbm::RefreshParams;
-use orderlight_suite::memctrl::McStats;
+use orderlight_suite::memctrl::{McStats, PagePolicy};
 use orderlight_suite::pim::TsSize;
 use orderlight_suite::profile::profile_scenario;
 use orderlight_suite::sim::config::{ExecMode, ExperimentConfig};
@@ -45,6 +52,21 @@ const FULL_CASES: usize = 64;
 /// keep it fixed so failures reproduce by case index.
 const SEED: u64 = 0x05ca_1e5c_a1e5_ca1e;
 
+/// Fast-tier prefix of the controller-policy stream.
+const POLICY_SMALL_CASES: usize = 4;
+
+/// Full tier-2 size of the controller-policy stream.
+const POLICY_FULL_CASES: usize = 32;
+
+/// Seed of the controller-policy stream (independent of [`SEED`]).
+const POLICY_SEED: u64 = 0x0b10_c4ed_5eed_0002;
+
+/// A gauntlet case: a label and the scenario it runs on a given core.
+trait Case: Clone + Send + 'static {
+    fn label(&self) -> String;
+    fn scenario(&self, core: SimCore) -> Scenario;
+}
+
 /// One drawn configuration, fully determined by the stream position.
 #[derive(Debug, Clone)]
 struct FuzzCase {
@@ -58,7 +80,7 @@ struct FuzzCase {
     faults: bool,
 }
 
-impl FuzzCase {
+impl Case for FuzzCase {
     fn label(&self) -> String {
         format!(
             "case[{}] {} {} {} bmf={} {}B refresh={} faults={}",
@@ -71,18 +93,6 @@ impl FuzzCase {
             self.refresh,
             self.faults
         )
-    }
-
-    fn experiment(&self) -> ExperimentConfig {
-        let mut exp = ExperimentConfig::new(self.workload, ExecMode::Pim(self.mode));
-        exp.ts_size = self.ts;
-        exp.bmf = self.bmf;
-        exp.data_bytes_per_channel = self.data;
-        apply_sm_policy(&mut exp);
-        if self.refresh {
-            exp.system.refresh = Some(RefreshParams::hbm2());
-        }
-        exp
     }
 
     fn scenario(&self, core: SimCore) -> Scenario {
@@ -100,6 +110,20 @@ impl FuzzCase {
             .core(core)
             .build()
             .expect("fuzz scenario builds")
+    }
+}
+
+impl FuzzCase {
+    fn experiment(&self) -> ExperimentConfig {
+        let mut exp = ExperimentConfig::new(self.workload, ExecMode::Pim(self.mode));
+        exp.ts_size = self.ts;
+        exp.bmf = self.bmf;
+        exp.data_bytes_per_channel = self.data;
+        apply_sm_policy(&mut exp);
+        if self.refresh {
+            exp.system.refresh = Some(RefreshParams::hbm2());
+        }
+        exp
     }
 }
 
@@ -140,6 +164,91 @@ fn fuzz_cases(n: usize) -> Vec<FuzzCase> {
         .collect()
 }
 
+/// One drawn controller-policy configuration.
+#[derive(Debug, Clone)]
+struct PolicyCase {
+    index: usize,
+    workload: WorkloadId,
+    mode: ExecMode,
+    data: u64,
+    closed_page: bool,
+    storm: bool,
+    adversary: bool,
+    bank_queue_capacity: usize,
+    scan_depth: usize,
+}
+
+impl Case for PolicyCase {
+    fn label(&self) -> String {
+        format!(
+            "policy[{}] {} {} {}B closed_page={} storm={} adversary={} bank_q={} scan={}",
+            self.index,
+            self.workload,
+            self.mode,
+            self.data,
+            self.closed_page,
+            self.storm,
+            self.adversary,
+            self.bank_queue_capacity,
+            self.scan_depth
+        )
+    }
+
+    fn scenario(&self, core: SimCore) -> Scenario {
+        let mut exp = ExperimentConfig::new(self.workload, self.mode);
+        exp.data_bytes_per_channel = self.data;
+        apply_sm_policy(&mut exp);
+        if self.closed_page {
+            exp.system.mc.page_policy = PagePolicy::Closed;
+        }
+        exp.system.mc.bank_queue_capacity = self.bank_queue_capacity;
+        exp.system.mc.scan_depth = self.scan_depth;
+        let faults = FaultPlan {
+            seed: POLICY_SEED ^ self.index as u64,
+            sched_adversary: self.adversary,
+            refresh_storm: self.storm.then(RefreshStorm::default),
+            ..FaultPlan::none()
+        };
+        ScenarioBuilder::from_experiment(exp)
+            .keep_sm_allocation()
+            .faults(faults)
+            .core(core)
+            .build()
+            .expect("policy scenario builds")
+    }
+}
+
+/// Draws the first `n` cases of the controller-policy stream.
+fn policy_cases(n: usize) -> Vec<PolicyCase> {
+    const WORKLOADS: [WorkloadId; 4] =
+        [WorkloadId::Add, WorkloadId::Scale, WorkloadId::Copy, WorkloadId::Triad];
+    const MODES: [ExecMode; 4] = [
+        ExecMode::Gpu,
+        ExecMode::Pim(OrderingMode::OrderLight),
+        ExecMode::Pim(OrderingMode::Fence),
+        ExecMode::Pim(OrderingMode::SeqNum),
+    ];
+    const DATA: [u64; 2] = [2 * 1024, 4 * 1024];
+    const BANK_QUEUE: [usize; 3] = [1, 2, 4];
+    const SCAN_DEPTH: [usize; 3] = [1, 2, 16];
+
+    let mut rng = Rng::new(POLICY_SEED);
+    let mut pick = move |m: usize| (rng.next_u64() % m as u64) as usize;
+    (0..n)
+        .map(|index| PolicyCase {
+            index,
+            workload: WORKLOADS[pick(WORKLOADS.len())],
+            mode: MODES[pick(MODES.len())],
+            data: DATA[pick(DATA.len())],
+            closed_page: pick(2) == 1,
+            storm: pick(2) == 1,
+            adversary: pick(2) == 1,
+            bank_queue_capacity: BANK_QUEUE[pick(BANK_QUEUE.len())],
+            scan_depth: SCAN_DEPTH[pick(SCAN_DEPTH.len())],
+        })
+        .collect()
+}
+
 /// Everything one case observed on the cycle core, after asserting the
 /// event core matched it field for field. `PartialEq` so the pool-level
 /// comparison covers every byte.
@@ -154,7 +263,7 @@ struct CaseDigest {
 
 /// Runs `case` on both cores, asserts every observable agrees, and
 /// returns the cycle-core digest.
-fn run_case(case: &FuzzCase) -> CaseDigest {
+fn run_case(case: &impl Case) -> CaseDigest {
     let label = case.label();
 
     let raw = |core: SimCore| {
@@ -219,7 +328,7 @@ fn run_case(case: &FuzzCase) -> CaseDigest {
 /// Runs the gauntlet through a pool at each worker count and asserts
 /// the digest vectors are identical — the differential checks pass and
 /// the results do not depend on scheduling.
-fn run_gauntlet(cases: &[FuzzCase]) {
+fn run_gauntlet(cases: &[impl Case]) {
     let digests_at = |workers: usize| -> Vec<CaseDigest> {
         let jobs: Vec<_> = cases
             .iter()
@@ -245,6 +354,34 @@ fn fuzz_gauntlet_small() {
 #[ignore = "tier 2: full 64-case differential gauntlet at jobs=1 and jobs=8; run via --include-ignored or ORDERLIGHT_TIER2=1 ./ci.sh"]
 fn fuzz_gauntlet_full() {
     run_gauntlet(&fuzz_cases(FULL_CASES));
+}
+
+#[test]
+fn policy_gauntlet_small() {
+    run_gauntlet(&policy_cases(POLICY_SMALL_CASES));
+}
+
+#[test]
+#[ignore = "tier 2: full controller-policy gauntlet at jobs=1 and jobs=8; run via --include-ignored or ORDERLIGHT_TIER2=1 ./ci.sh"]
+fn policy_gauntlet_full() {
+    run_gauntlet(&policy_cases(POLICY_FULL_CASES));
+}
+
+/// The policy stream's fast tier is a prefix of its full stream, and
+/// the full stream reaches every axis it exists for.
+#[test]
+fn policy_stream_covers_its_axes() {
+    let small = policy_cases(POLICY_SMALL_CASES);
+    let full = policy_cases(POLICY_FULL_CASES);
+    for (s, f) in small.iter().zip(&full) {
+        assert_eq!(format!("{s:?}"), format!("{f:?}"));
+    }
+    assert!(full.iter().any(|c| c.mode == ExecMode::Gpu));
+    assert!(full.iter().any(|c| c.closed_page) && full.iter().any(|c| !c.closed_page));
+    assert!(full.iter().any(|c| c.storm) && full.iter().any(|c| c.adversary));
+    assert!(full.iter().any(|c| c.closed_page && c.storm && c.adversary));
+    assert!(full.iter().any(|c| c.bank_queue_capacity == 1));
+    assert!(full.iter().any(|c| c.scan_depth == 1));
 }
 
 /// Regression for the budget boundary the calendar queue must respect:

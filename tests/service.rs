@@ -417,3 +417,90 @@ fn flight_recorder_holds_recent_requests_and_error_payloads() {
     assert!(errors[0].as_str().expect("payload is a string").contains("\"kind\":\"parse\""));
     shutdown(&addr, handle);
 }
+
+/// Sends `line` on an open connection and reads reply lines up to the
+/// terminal `result` / `error` reply.
+fn exchange(
+    writer: &mut TcpStream,
+    reader: &mut std::io::BufReader<TcpStream>,
+    line: &str,
+) -> Vec<String> {
+    use std::io::BufRead;
+    writer.write_all(format!("{line}\n").as_bytes()).expect("request written");
+    let mut replies = Vec::new();
+    loop {
+        let mut reply = String::new();
+        assert!(reader.read_line(&mut reply).expect("reply read") > 0, "server hung up");
+        let kind = reply_kind(reply.trim());
+        replies.push(reply.trim().to_string());
+        if matches!(kind.as_deref(), Some("result" | "error")) {
+            return replies;
+        }
+    }
+}
+
+#[test]
+fn deeply_nested_line_is_a_typed_parse_error_and_the_connection_survives() {
+    let (addr, handle) = start_server(1);
+    let stream = TcpStream::connect(&addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = std::io::BufReader::new(stream);
+    let hostile = "[".repeat(200_000);
+    let replies = exchange(&mut writer, &mut reader, &hostile);
+    let doc = json::parse(replies.last().expect("a reply")).expect("reply parses");
+    assert_eq!(doc.get("reply").and_then(json::Value::as_str), Some("error"));
+    assert_eq!(doc.get("kind").and_then(json::Value::as_str), Some("parse"));
+    assert!(
+        doc.get("message").and_then(json::Value::as_str).is_some_and(|m| m.contains("nesting")),
+        "{doc:?}"
+    );
+    // Same connection, valid request: still served.
+    let replies = exchange(&mut writer, &mut reader, &add_request());
+    let doc = json::parse(replies.last().expect("a reply")).expect("reply parses");
+    assert_eq!(doc.get("reply").and_then(json::Value::as_str), Some("result"));
+    assert_eq!(extract_stats(replies.last().unwrap()).as_deref(), Some(direct_stats().as_str()));
+    drop((writer, reader));
+    shutdown(&addr, handle);
+}
+
+/// A served miss streams several reply lines (accepted, running,
+/// result). On a long-lived connection, with Nagle's algorithm on the
+/// server's socket, each line after the first waits for the client's
+/// delayed ACK (tens of ms on Linux loopback). The wire overhead —
+/// client-measured latency minus the server's own span — must stay far
+/// below that. The stall only shows when the run is shorter than the
+/// delayed-ACK timer, so a debug build simulates a smaller point than
+/// the 16 KiB of a release build.
+#[test]
+fn served_misses_carry_no_nagle_delay() {
+    let data_kb = if cfg!(debug_assertions) { 2 } else { 16 };
+    let (addr, handle) = start_server(1);
+    let stream = TcpStream::connect(&addr).expect("connect");
+    stream.set_nodelay(true).expect("client nodelay");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = std::io::BufReader::new(stream);
+    let mut overheads_ms: Vec<f64> = ["Add", "Scale", "Copy", "Triad", "Daxpy"]
+        .iter()
+        .map(|workload| {
+            let line = format!(
+                r#"{{"schema": "{SCENARIO_SCHEMA_V1}", "workload": "{workload}", "data_kb": {data_kb}}}"#
+            );
+            let start = std::time::Instant::now();
+            let replies = exchange(&mut writer, &mut reader, &line);
+            let client_ms = start.elapsed().as_secs_f64() * 1e3;
+            let doc = json::parse(replies.last().expect("terminal reply")).expect("parses");
+            assert_eq!(doc.get("cached").and_then(json::Value::as_bool), Some(false), "{line}");
+            let span = doc.get("span").expect("span rides the result");
+            let span_us: f64 = ["parse_us", "queue_us", "run_us", "serialize_us", "write_us"]
+                .iter()
+                .map(|p| span.get(p).and_then(json::Value::as_f64).expect("phase present"))
+                .sum();
+            client_ms - span_us / 1e3
+        })
+        .collect();
+    overheads_ms.sort_by(f64::total_cmp);
+    let median = overheads_ms[overheads_ms.len() / 2];
+    assert!(median < 20.0, "median wire overhead {median:.1} ms ({overheads_ms:?})");
+    drop((writer, reader));
+    shutdown(&addr, handle);
+}
