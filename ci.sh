@@ -56,14 +56,18 @@ if [[ "${ORDERLIGHT_TIER2:-0}" != "0" ]]; then
 fi
 
 # Repository benchmark (perfbench/, declared by BENCHMARK.json): its own
-# tests, then one short traced pass per benchmarked workload. Every op
-# of a pass is digest-checked against perfbench/expected/*.txt, so any
-# change to a simulated statistic fails here with "failed" above 0.
+# tests, then one short traced pass per benchmarked workload and an
+# untraced pim-ordered pass. Every op of a pass is digest-checked
+# against perfbench/expected/*.txt, so any change to a simulated
+# statistic fails here with "failed" above 0.
 echo "==> perfbench (self-tests and a digest-checked pass per workload)"
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
-for workload in gpu-host serve-mixed; do
+# pim-ordered is not in BENCHMARK.json, but its untraced pass is the
+# only digest check of the seqnum, louvre and bulk backends.
+for run in "gpu-host 1" "serve-mixed 1" "pim-ordered 0"; do
+    read -r workload trace <<< "$run"
     result="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-        --workload "$workload" --seed 1 --seconds 1 --trace 1 2>/dev/null | tail -n 1)"
+        --workload "$workload" --seed 1 --seconds 1 --trace "$trace" 2>/dev/null | tail -n 1)"
     grep -q '"failed":0,' <<< "$result" \
         || { echo "perfbench $workload: ops failed: ${result:0:200}"; exit 1; }
 done

@@ -1,7 +1,7 @@
 //! Criterion bench for the Figure 5 experiment: full-system simulation
 //! of the Add kernel under no ordering, fences, and OrderLight at a
 //! reduced job size. The regenerated figure itself comes from
-//! `cargo run --release -p orderlight-bench --bin fig05`.
+//! `cargo run --release --manifest-path crates/bench/Cargo.toml --bin fig05`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use orderlight_bench::BENCH_DATA_BYTES;

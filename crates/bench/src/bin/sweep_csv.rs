@@ -2,7 +2,7 @@
 //! stdout — machine-readable results for external plotting.
 //!
 //! ```text
-//! cargo run --release -p orderlight-bench --bin sweep_csv -- --jobs 8 > sweep.csv
+//! cargo run --release --manifest-path crates/bench/Cargo.toml --bin sweep_csv -- --jobs 8 > sweep.csv
 //! ```
 //!
 //! `--jobs N` (or `ORDERLIGHT_JOBS`) spreads the independent sweep

@@ -9,8 +9,8 @@
 //! there; the *convergence FSM* collects copies and re-emits the merged
 //! marker exactly once.
 
+use crate::hash::FastMap;
 use crate::message::{Marker, MarkerCopy, MarkerKey};
-use std::collections::HashMap;
 
 /// Replicates a marker onto `n_paths` sub-paths.
 ///
@@ -48,7 +48,7 @@ pub fn diverge(marker: Marker, n_paths: usize) -> Vec<MarkerCopy> {
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct MergeFsm {
-    arrived: HashMap<MarkerKey, u8>,
+    arrived: FastMap<MarkerKey, u8>,
     merges: u64,
 }
 

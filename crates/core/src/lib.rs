@@ -20,6 +20,8 @@
 //! * [`fsm`] — the copy-and-merge finite state machines used wherever the
 //!   memory pipe diverges (L2 sub-partitions, read/write queues; paper
 //!   Figure 9).
+//! * [`hash`] — [`FastMap`](hash::FastMap), the deterministic fast
+//!   hasher for maps keyed by simulator-derived ids.
 //! * [`mapping`] — physical address interleaving (256 B chunks across
 //!   channels, 2 KB rows, bank rotation) mirroring the paper's Section 6
 //!   assumptions.
@@ -44,6 +46,7 @@ pub mod error;
 pub mod event;
 pub mod fault;
 pub mod fsm;
+pub mod hash;
 pub mod isa;
 pub mod mapping;
 pub mod message;
@@ -64,6 +67,6 @@ pub use message::{Marker, MarkerCopy, MemReq, MemResp, ReqMeta};
 pub use packet::OrderLightPacket;
 pub use slab::{Slab, SlabRef};
 pub use types::{
-    Addr, BankId, ChannelId, CoreCycle, GlobalWarpId, MemCycle, MemGroupId, Stripe, TsSlot,
-    BUS_BYTES, LANES, LANE_BYTES,
+    Addr, BankId, ChannelId, CoreCycle, GlobalWarpId, GroupMask, MemCycle, MemGroupId, Stripe,
+    TsSlot, BUS_BYTES, LANES, LANE_BYTES,
 };

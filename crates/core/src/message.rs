@@ -8,7 +8,7 @@
 
 use crate::isa::{PimInstruction, Reg};
 use crate::packet::OrderLightPacket;
-use crate::types::{Addr, ChannelId, GlobalWarpId, Stripe};
+use crate::types::{Addr, ChannelId, GlobalWarpId, GroupMask, Stripe};
 use std::fmt;
 
 /// Per-request metadata used for fence tracking and statistics.
@@ -54,12 +54,12 @@ impl Marker {
         match self {
             Marker::OrderLight(p) => MarkerKey::OrderLight {
                 channel: p.channel(),
-                group_bits: p.groups().fold(0u16, |acc, g| acc | 1 << g.0),
+                groups: p.groups().collect(),
                 number: p.number(),
             },
             Marker::Release(p) => MarkerKey::Release {
                 channel: p.channel(),
-                group_bits: p.groups().fold(0u16, |acc, g| acc | 1 << g.0),
+                groups: p.groups().collect(),
                 number: p.number(),
             },
             Marker::FenceProbe { warp, fence_id, .. } => {
@@ -97,8 +97,8 @@ pub enum MarkerKey {
     OrderLight {
         /// Target channel.
         channel: ChannelId,
-        /// Bitmask of constrained memory groups.
-        group_bits: u16,
+        /// The constrained memory groups.
+        groups: GroupMask,
         /// Packet number.
         number: u32,
     },
@@ -106,8 +106,8 @@ pub enum MarkerKey {
     Release {
         /// Target channel.
         channel: ChannelId,
-        /// Bitmask of constrained memory groups.
-        group_bits: u16,
+        /// The constrained memory groups.
+        groups: GroupMask,
         /// Release version.
         number: u32,
     },
@@ -258,6 +258,37 @@ mod tests {
             instr: PimInstruction { op, addr: Addr(0x80), slot: TsSlot(0), group: MemGroupId(0) },
             meta: ReqMeta { warp: GlobalWarpId::new(0, 1), seq: 5 },
         }
+    }
+
+    /// Group ids past 15 fit the key: no shift overflow, and packets
+    /// that differ only in such a group get distinct keys.
+    #[test]
+    fn marker_keys_cover_every_group_id() {
+        use crate::packet::OrderLightPacket;
+        let ch = ChannelId(0);
+        let key = |group: u8, extra: &[u8], release: bool| {
+            let extra: Vec<_> = extra.iter().copied().map(MemGroupId).collect();
+            let p = OrderLightPacket::with_groups(ch, MemGroupId(group), &extra, 7).unwrap();
+            if release { Marker::Release(p) } else { Marker::OrderLight(p) }.key()
+        };
+        for release in [false, true] {
+            let keys = [
+                key(0, &[], release),
+                key(16, &[], release),
+                key(63, &[], release),
+                key(255, &[], release),
+                key(0, &[16], release),
+                key(0, &[63], release),
+                key(0, &[255], release),
+                key(0, &[16, 255], release),
+            ];
+            for (i, a) in keys.iter().enumerate() {
+                for b in &keys[i + 1..] {
+                    assert_ne!(a, b, "aliased marker keys");
+                }
+            }
+        }
+        assert_ne!(key(255, &[], false), key(255, &[], true));
     }
 
     #[test]

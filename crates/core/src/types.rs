@@ -106,6 +106,34 @@ id_newtype!(
     TsSlot(u16)
 );
 
+/// A set of memory groups: one bit for each of the 256 possible
+/// [`MemGroupId`] values.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct GroupMask([u64; 4]);
+
+impl GroupMask {
+    /// Adds `group` to the set.
+    pub fn insert(&mut self, group: MemGroupId) {
+        self.0[usize::from(group.0 / 64)] |= 1 << (group.0 % 64);
+    }
+
+    /// Whether `group` is in the set.
+    #[must_use]
+    pub fn contains(&self, group: MemGroupId) -> bool {
+        self.0[usize::from(group.0 / 64)] & 1 << (group.0 % 64) != 0
+    }
+}
+
+impl FromIterator<MemGroupId> for GroupMask {
+    fn from_iter<I: IntoIterator<Item = MemGroupId>>(groups: I) -> Self {
+        let mut mask = GroupMask::default();
+        for g in groups {
+            mask.insert(g);
+        }
+        mask
+    }
+}
+
 /// A globally unique warp identifier: `(SM index, warp index within SM)`
 /// flattened into one integer so it can travel in request messages.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

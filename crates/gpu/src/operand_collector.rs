@@ -9,9 +9,10 @@
 //! preceding PIM requests into the memory pipe without halting issue for
 //! long (unlike a fence, which drains the whole core-to-memory path).
 
+use orderlight::hash::FastMap;
 use orderlight::message::MemReq;
 use orderlight::types::{ChannelId, CoreCycle, GlobalWarpId, MemGroupId};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// One resident collector-unit entry.
 #[derive(Debug, Clone)]
@@ -28,8 +29,10 @@ pub struct OperandCollector {
     entries: VecDeque<OcEntry>,
     capacity: usize,
     latency: CoreCycle,
-    pim_counts: HashMap<(ChannelId, MemGroupId), u32>,
-    warp_counts: HashMap<GlobalWarpId, u32>,
+    pim_counts: FastMap<(ChannelId, MemGroupId), u32>,
+    /// Resident requests per warp, indexed by the warp's index within
+    /// its SM (every warp of one collector shares the SM).
+    warp_counts: Vec<u32>,
 }
 
 impl OperandCollector {
@@ -45,8 +48,8 @@ impl OperandCollector {
             entries: VecDeque::new(),
             capacity,
             latency,
-            pim_counts: HashMap::new(),
-            warp_counts: HashMap::new(),
+            pim_counts: FastMap::default(),
+            warp_counts: Vec::new(),
         }
     }
 
@@ -79,7 +82,11 @@ impl OperandCollector {
         if let Some(key) = pim_key {
             *self.pim_counts.entry(key).or_insert(0) += 1;
         }
-        *self.warp_counts.entry(warp).or_insert(0) += 1;
+        let w = warp.warp();
+        if w >= self.warp_counts.len() {
+            self.warp_counts.resize(w + 1, 0);
+        }
+        self.warp_counts[w] += 1;
         self.entries.push_back(OcEntry { exit_at: now + self.latency, req, warp, pim_key });
     }
 
@@ -93,7 +100,7 @@ impl OperandCollector {
     /// Requests resident from `warp` — the fence drain gate.
     #[must_use]
     pub fn warp_count(&self, warp: GlobalWarpId) -> u32 {
-        self.warp_counts.get(&warp).copied().unwrap_or(0)
+        self.warp_counts.get(warp.warp()).copied().unwrap_or(0)
     }
 
     /// Exit deadline of the oldest resident entry, if any. Entries
@@ -116,8 +123,7 @@ impl OperandCollector {
                 let c = self.pim_counts.get_mut(&key).expect("count tracked");
                 *c -= 1;
             }
-            let c = self.warp_counts.get_mut(&e.warp).expect("count tracked");
-            *c -= 1;
+            self.warp_counts[e.warp.warp()] -= 1;
         }
     }
 }

@@ -327,15 +327,17 @@ impl MemoryController {
         self.channel_id = channel;
     }
 
+    /// Appends an issue record when tracing is on; `what` is only
+    /// formatted then, so untraced runs build no strings.
     fn record(
         &mut self,
         cycle: MemCycle,
-        what: String,
+        what: impl FnOnce() -> String,
         warp: Option<orderlight::types::GlobalWarpId>,
         seq: Option<u64>,
     ) {
         if self.cfg.trace {
-            self.trace.push(IssueRecord { cycle, what, warp, seq });
+            self.trace.push(IssueRecord { cycle, what: what(), warp, seq });
         }
     }
 
@@ -681,14 +683,12 @@ impl MemoryController {
     fn complete(&mut self, txn: Transaction, now: MemCycle) {
         let bank = txn.loc.bank;
         let col = txn.loc.col;
-        if self.cfg.trace {
-            let what = match &txn.kind {
-                TxnKind::Pim(instr) => format!("{}", instr),
-                TxnKind::HostRead { .. } => format!("HOST_RD b{}", bank.0),
-                TxnKind::HostWrite { .. } => format!("HOST_WR b{}", bank.0),
-            };
-            self.record(now, what, Some(txn.meta.warp), Some(txn.meta.seq));
-        }
+        let what = || match &txn.kind {
+            TxnKind::Pim(instr) => format!("{}", instr),
+            TxnKind::HostRead { .. } => format!("HOST_RD b{}", bank.0),
+            TxnKind::HostWrite { .. } => format!("HOST_WR b{}", bank.0),
+        };
+        self.record(now, what, Some(txn.meta.warp), Some(txn.meta.seq));
         match txn.kind {
             TxnKind::Pim(instr) => {
                 self.stats.pim_commands += 1;
@@ -838,7 +838,7 @@ impl MemoryController {
             let row = self.bank_q[bank.index()].front().expect("head exists").loc.row;
             let issued = self.channel.try_issue(DramCommand::Activate { bank, row }, now);
             debug_assert!(issued);
-            self.record(now, format!("ACT b{} r{row}", bank.0), None, None);
+            self.record(now, || format!("ACT b{} r{row}", bank.0), None, None);
             self.stats.activates += 1;
             self.stats.last_issue_cycle = now;
             return Horizon::Dense;
@@ -846,7 +846,7 @@ impl MemoryController {
         if let Some(bank) = self.choose(precharge) {
             let issued = self.channel.try_issue(DramCommand::Precharge { bank }, now);
             debug_assert!(issued);
-            self.record(now, format!("PRE b{}", bank.0), None, None);
+            self.record(now, || format!("PRE b{}", bank.0), None, None);
             self.stats.precharges += 1;
             self.stats.last_issue_cycle = now;
             return Horizon::Dense;
@@ -860,7 +860,7 @@ impl MemoryController {
                     continue;
                 }
                 if self.channel.try_issue(DramCommand::Precharge { bank }, now) {
-                    self.record(now, format!("PRE b{} (closed-page)", bank.0), None, None);
+                    self.record(now, || format!("PRE b{} (closed-page)", bank.0), None, None);
                     self.stats.precharges += 1;
                     self.stats.last_issue_cycle = now;
                     return Horizon::Dense;
@@ -871,8 +871,18 @@ impl MemoryController {
     }
 
     /// Advances the controller by one memory cycle; returns responses
-    /// (load data, fence acks) to send back up the pipe.
+    /// (load data, fence acks) to send back up the pipe. Allocates the
+    /// returned vector: the simulation loops use
+    /// [`tick_into`](Self::tick_into) with a reused buffer instead.
     pub fn tick(&mut self, now: MemCycle) -> Vec<MemResp> {
+        let mut out = Vec::new();
+        self.tick_into(now, &mut out);
+        out
+    }
+
+    /// Advances the controller by one memory cycle, appending its
+    /// responses (load data, fence acks) to `out`.
+    pub fn tick_into(&mut self, now: MemCycle, out: &mut Vec<MemResp>) {
         self.arrival_cycle = now;
         let refreshes = self.channel.refreshes();
         self.channel.maintain(now);
@@ -908,7 +918,8 @@ impl MemoryController {
             )),
             _ => Horizon::Dense,
         };
-        std::mem::take(&mut self.out)
+        // `append` keeps `self.out`'s capacity for the next tick.
+        out.append(&mut self.out);
     }
 
     /// Advances the controller across `ticks` quiescent memory cycles

@@ -8,10 +8,11 @@
 use crate::queues::PendingReq;
 use crate::txn::Transaction;
 use orderlight::fsm::MergeFsm;
+use orderlight::hash::FastMap;
 use orderlight::message::{Marker, MarkerCopy, MarkerKey, ReqMeta};
 use orderlight::packet::OrderLightPacket;
 use orderlight::types::{GlobalWarpId, MemGroupId};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Maximum memory groups addressable by the 4-bit group-ID field.
 pub const MAX_GROUPS: usize = 16;
@@ -236,8 +237,8 @@ struct PendingFence {
 /// issued count catches up.
 #[derive(Debug, Clone, Default)]
 pub struct FenceTracker {
-    arrived: HashMap<GlobalWarpId, u64>,
-    issued: HashMap<GlobalWarpId, u64>,
+    arrived: FastMap<GlobalWarpId, u64>,
+    issued: FastMap<GlobalWarpId, u64>,
     pending: Vec<PendingFence>,
     acks: u64,
 }
@@ -698,9 +699,9 @@ pub struct SeqNumBackend {
     fences: FenceTracker,
     merge: MergeFsm,
     /// Next sequence number each warp may dequeue.
-    expected_dequeue: HashMap<GlobalWarpId, u64>,
+    expected_dequeue: FastMap<GlobalWarpId, u64>,
     /// Next sequence number each warp may issue.
-    expected_issue: HashMap<GlobalWarpId, u64>,
+    expected_issue: FastMap<GlobalWarpId, u64>,
     /// Mutation: requests of this group skip both sequence gates.
     elide: Option<MemGroupId>,
     edges_dropped: u64,
@@ -828,7 +829,7 @@ pub struct LouvreVersioned {
     arrivals: [u64; MAX_GROUPS],
     issued: [u64; MAX_GROUPS],
     /// Drain targets snapshotted at marker ingress, keyed by identity.
-    pending_targets: HashMap<MarkerKey, Vec<(MemGroupId, u64)>>,
+    pending_targets: FastMap<MarkerKey, Vec<(MemGroupId, u64)>>,
     /// Merged releases still holding (front-released: a later marker is
     /// never offered while an earlier one still heads the queues).
     held: VecDeque<HeldRelease>,
@@ -849,7 +850,7 @@ impl LouvreVersioned {
             merge: MergeFsm::new(),
             arrivals: [0; MAX_GROUPS],
             issued: [0; MAX_GROUPS],
-            pending_targets: HashMap::new(),
+            pending_targets: FastMap::default(),
             held: VecDeque::new(),
             last_version: [None; MAX_GROUPS],
             packets_merged: 0,
@@ -1001,7 +1002,7 @@ pub struct BulkBitwiseStrong {
     arrivals: [u64; MAX_GROUPS],
     issued: [u64; MAX_GROUPS],
     /// `(warp, seq)` → 1-based per-group arrival index; removed at retire.
-    stamps: HashMap<(GlobalWarpId, u64), u64>,
+    stamps: FastMap<(GlobalWarpId, u64), u64>,
     /// Kind (write?) of the group's most recent arrival, for epoch flips.
     last_write: [Option<bool>; MAX_GROUPS],
     /// Per-group epoch counter (trace barrier numbers).
@@ -1021,7 +1022,7 @@ impl BulkBitwiseStrong {
             merge: MergeFsm::new(),
             arrivals: [0; MAX_GROUPS],
             issued: [0; MAX_GROUPS],
-            stamps: HashMap::new(),
+            stamps: FastMap::default(),
             last_write: [None; MAX_GROUPS],
             epoch: [0; MAX_GROUPS],
             flags_set: 0,

@@ -9,7 +9,7 @@
 use orderlight::mapping::Location;
 use orderlight::message::{Marker, MarkerCopy, ReqMeta};
 use orderlight::slab::SlabRef;
-use orderlight::types::{BankId, MemGroupId};
+use orderlight::types::{BankId, GroupMask, MemGroupId};
 use std::collections::VecDeque;
 
 /// Whether a marker constrains requests of memory group `group`.
@@ -68,26 +68,6 @@ pub enum QueueEntry {
     },
 }
 
-/// The set of memory groups constrained by the marker copies seen so
-/// far in a queue scan: one bit per possible [`MemGroupId`] value.
-#[derive(Debug, Clone, Copy, Default)]
-struct GroupMask([u64; 4]);
-
-impl GroupMask {
-    /// Adds every group `copy` constrains (see [`marker_constrains`]).
-    fn add_marker(&mut self, copy: &MarkerCopy) {
-        if let Marker::OrderLight(p) | Marker::Release(p) = &copy.marker {
-            for g in p.groups() {
-                self.0[usize::from(g.0 / 64)] |= 1 << (g.0 % 64);
-            }
-        }
-    }
-
-    fn contains(&self, group: MemGroupId) -> bool {
-        self.0[usize::from(group.0 / 64)] & 1 << (group.0 % 64) != 0
-    }
-}
-
 /// A bounded FIFO transaction queue with marker-aware dequeue.
 #[derive(Debug, Clone)]
 pub struct TransQueue {
@@ -101,6 +81,9 @@ pub struct TransQueue {
     bank_requests: Vec<usize>,
     /// Queued execute-only requests (no DRAM access, no bank).
     exec_requests: usize,
+    /// Queued marker copies, so a queue without any answers the
+    /// per-tick marker lookups in O(1).
+    markers: usize,
 }
 
 impl TransQueue {
@@ -118,6 +101,7 @@ impl TransQueue {
             ticks: 0,
             bank_requests: Vec::new(),
             exec_requests: 0,
+            markers: 0,
         }
     }
 
@@ -153,8 +137,8 @@ impl TransQueue {
     /// backpressure upstream.
     pub fn push(&mut self, entry: QueueEntry) {
         assert!(self.has_space(), "transaction queue overflow");
-        if let QueueEntry::Request(p) = &entry {
-            match p.loc {
+        match &entry {
+            QueueEntry::Request(p) => match p.loc {
                 Some(loc) => {
                     let b = loc.bank.index();
                     if b >= self.bank_requests.len() {
@@ -163,7 +147,8 @@ impl TransQueue {
                     self.bank_requests[b] += 1;
                 }
                 None => self.exec_requests += 1,
-            }
+            },
+            QueueEntry::Marker { .. } => self.markers += 1,
         }
         self.entries.push_back(entry);
     }
@@ -205,6 +190,9 @@ impl TransQueue {
 
     /// Index of the first marker copy, if any.
     fn first_marker_pos(&self) -> Option<usize> {
+        if self.markers == 0 {
+            return None;
+        }
         self.entries.iter().position(|e| matches!(e, QueueEntry::Marker { .. }))
     }
 
@@ -249,6 +237,7 @@ impl TransQueue {
             return false;
         }
         self.entries.remove(pos);
+        self.markers -= 1;
         true
     }
 
@@ -275,7 +264,10 @@ impl TransQueue {
             .enumerate()
             .filter_map(move |(i, e)| match e {
                 QueueEntry::Marker { copy, .. } => {
-                    blocking.add_marker(copy);
+                    // Every group the copy constrains, as `marker_constrains`.
+                    if let Marker::OrderLight(p) | Marker::Release(p) = &copy.marker {
+                        p.groups().for_each(|g| blocking.insert(g));
+                    }
                     None
                 }
                 QueueEntry::Request(p) => {
@@ -478,9 +470,9 @@ mod tests {
         use orderlight::mapping::Location;
         use orderlight::rng::Rng;
         use orderlight::types::BankId;
-        // Packets carry up to two extra groups (marker keys hold 4-bit
-        // group ids); requests also use ids from every mask word.
-        const GROUPS: [u8; 5] = [0, 1, 3, 7, 15];
+        // Packets carry up to two extra groups; packets and requests use
+        // ids from every mask word.
+        const GROUPS: [u8; 8] = [0, 1, 3, 7, 15, 63, 64, 255];
         const REQUEST_GROUPS: [u8; 8] = [0, 1, 3, 7, 15, 63, 64, 200];
         let mut rng = Rng::new(0x7a65_0b1c);
         let mut arena = Slab::new();
@@ -541,14 +533,17 @@ mod tests {
                 }
                 let mut banks = [0usize; 16];
                 let mut exec = 0;
+                let mut markers = 0;
                 for e in &q.entries {
-                    if let QueueEntry::Request(p) = e {
-                        match p.loc {
+                    match e {
+                        QueueEntry::Request(p) => match p.loc {
                             Some(loc) => banks[loc.bank.index()] += 1,
                             None => exec += 1,
-                        }
+                        },
+                        QueueEntry::Marker { .. } => markers += 1,
                     }
                 }
+                assert_eq!(q.markers, markers);
                 for (b, &n) in banks.iter().enumerate() {
                     assert_eq!(q.bank_requests.get(b).copied().unwrap_or(0), n, "bank {b}");
                 }

@@ -135,14 +135,11 @@ impl L2Slice {
     ) {
         // Marker convergence: when every sub-partition's ready head is a
         // copy of the same marker, merge them and forward one packet.
-        let heads_are_copies = self
-            .subs
-            .iter()
-            .map(|s| match s.peek_ready(now).map(|&r| arena.get(r)) {
+        let heads_are_copies: [_; SUB_PARTITIONS] =
+            std::array::from_fn(|i| match self.subs[i].peek_ready(now).map(|&r| arena.get(r)) {
                 Some(MemReq::Marker(c)) => Some(c.marker.key()),
                 _ => None,
-            })
-            .collect::<Vec<_>>();
+            });
         if heads_are_copies.iter().all(Option::is_some) {
             let first = heads_are_copies[0].expect("checked");
             assert!(

@@ -9,48 +9,58 @@
 //! the window `[base, base + 4096)`, with a two-level u64 bitmap over
 //! the ring (one top word whose bit `w` says "leaf word `w` has a set
 //! bit"; 64 leaf words, one bit per slot) so the nearest occupied slot
-//! is a handful of trailing-zero scans away. Entries beyond the window
-//! land in an unsorted `far` overflow list whose cached minimum is
-//! migrated into the ring as soon as the window slides over it (each
-//! entry migrates at most `distance / 4096` times — amortized O(1) for
-//! horizons bounded by a cycle budget).
+//! is a few trailing-zero scans away. Entries beyond the window live in
+//! a `far` overflow list whose in-window members are migrated into the
+//! ring as soon as the window slides over them (each entry migrates at
+//! most `distance / 4096` times — amortized O(1) for horizons bounded
+//! by a cycle budget).
 //!
-//! Rescheduling is *earliest-wins with lazy invalidation*: the
-//! authoritative wake-up cycle lives in `scheduled[comp]`; ring and
-//! `far` entries are `(cycle, comp)` hints. A hint is live only if
-//! `scheduled[comp] == cycle` at pop time — a component woken to an
-//! earlier cycle simply leaves its old hint behind to be dropped when
-//! its slot is next drained. All window arithmetic uses `wrapping_sub`
-//! distances, so schedules that cross `u64::MAX` order correctly as
-//! long as every live horizon is within 2^63 cycles of the current
-//! base — vastly beyond any cycle budget.
+//! Every list is intrusive: a slot (or `far`) holds the id of its first
+//! component, and per-component `next`/`prev` links chain the rest, so
+//! scheduling never allocates. Each component sits in at most one list,
+//! the one matching its authoritative wake-up cycle `scheduled[comp]`:
+//! rescheduling (earliest-wins) and cancelling unlink the old entry
+//! eagerly, so every listed entry is live. Because the ring holds only
+//! cycles inside its window, a slot's whole list is due together and
+//! [`Calendar::pop_next`] splices it out. All window arithmetic uses
+//! `wrapping_sub` distances, so schedules that cross `u64::MAX` order
+//! correctly as long as every live horizon is within 2^63 cycles of the
+//! current base — vastly beyond any cycle budget.
 
 /// Slot count of the bucket ring; one page of cycles per rotation.
 const RING: usize = 4096;
 /// Leaf bitmap words covering the ring (64 slots per word).
 const WORDS: usize = RING / 64;
+/// List index of the `far` overflow list in `heads` (after the ring).
+const FAR: u32 = RING as u32;
 
 /// Sentinel in `scheduled`: the component has no pending wake-up.
 const NONE: u64 = u64::MAX;
+/// Sentinel link: no component (list end, or not in any list).
+const NIL: u32 = u32::MAX;
 
 /// A calendar queue of per-component wake-up cycles.
 #[derive(Debug)]
 pub struct Calendar {
     /// Authoritative wake-up cycle per component (`NONE` = unscheduled).
     scheduled: Vec<u64>,
-    /// Bucket ring: `(cycle, comp)` hints whose cycle maps to the slot.
-    ring: Vec<Vec<(u64, u32)>>,
-    /// Leaf bitmap: bit `b % 64` of word `b / 64` set ⇒ slot `b` may
-    /// hold hints.
+    /// First component of each ring slot's list, then of `far` (index
+    /// [`FAR`]); `NIL` when empty.
+    heads: Vec<u32>,
+    /// Next component in the same list, per component.
+    next: Vec<u32>,
+    /// Previous component in the same list, per component.
+    prev: Vec<u32>,
+    /// The list each component is in (a ring slot or [`FAR`]), or `NIL`
+    /// when unscheduled.
+    list_of: Vec<u32>,
+    /// Leaf bitmap: bit `b % 64` of word `b / 64` set ⇔ slot `b`'s list
+    /// is non-empty.
     leaf: [u64; WORDS],
-    /// Top bitmap: bit `w` set ⇒ `leaf[w] != 0`.
+    /// Top bitmap: bit `w` set ⇔ `leaf[w] != 0`.
     top: u64,
     /// Start of the ring window; slots cover `[base, base + RING)`.
     base: u64,
-    /// Overflow hints at distance ≥ RING from `base` at insert time.
-    /// Purged of dead hints on every pop, so it never outgrows the
-    /// component count.
-    far: Vec<(u64, u32)>,
 }
 
 impl Calendar {
@@ -60,11 +70,13 @@ impl Calendar {
     pub fn new(components: usize, start: u64) -> Calendar {
         Calendar {
             scheduled: vec![NONE; components],
-            ring: vec![Vec::new(); RING],
+            heads: vec![NIL; RING + 1],
+            next: vec![NIL; components],
+            prev: vec![NIL; components],
+            list_of: vec![NIL; components],
             leaf: [0; WORDS],
             top: 0,
             base: start,
-            far: Vec::new(),
         }
     }
 
@@ -90,25 +102,66 @@ impl Calendar {
         if cur != NONE && cur.wrapping_sub(self.base) <= at.wrapping_sub(self.base) {
             return;
         }
+        self.unlink(comp);
         self.scheduled[comp as usize] = at;
-        self.insert_hint(comp, at);
+        self.link(comp, at);
     }
 
-    /// Drops any pending wake-up for `comp` (its stale hints are
-    /// dropped lazily).
+    /// Drops any pending wake-up for `comp`.
     pub fn cancel(&mut self, comp: u32) {
+        self.unlink(comp);
         self.scheduled[comp as usize] = NONE;
     }
 
-    /// Places a hint for `(comp, at)` in the ring or the `far` list.
-    fn insert_hint(&mut self, comp: u32, at: u64) {
-        if at.wrapping_sub(self.base) < RING as u64 {
+    /// Pushes `comp` onto the list for cycle `at`: its ring slot when
+    /// `at` is inside the window, else `far`.
+    fn link(&mut self, comp: u32, at: u64) {
+        let list = if at.wrapping_sub(self.base) < RING as u64 {
             let slot = (at & (RING as u64 - 1)) as usize;
-            self.ring[slot].push((at, comp));
             self.leaf[slot / 64] |= 1 << (slot % 64);
             self.top |= 1 << (slot / 64);
+            slot as u32
         } else {
-            self.far.push((at, comp));
+            FAR
+        };
+        let c = comp as usize;
+        let head = self.heads[list as usize];
+        if head != NIL {
+            self.prev[head as usize] = comp;
+        }
+        self.next[c] = head;
+        self.prev[c] = NIL;
+        self.list_of[c] = list;
+        self.heads[list as usize] = comp;
+    }
+
+    /// Removes `comp` from whichever list holds it (no-op if none),
+    /// clearing the slot's bitmap bit when its list empties.
+    fn unlink(&mut self, comp: u32) {
+        let c = comp as usize;
+        let list = self.list_of[c];
+        if list == NIL {
+            return;
+        }
+        let (prev, next) = (self.prev[c], self.next[c]);
+        if prev == NIL {
+            self.heads[list as usize] = next;
+        } else {
+            self.next[prev as usize] = next;
+        }
+        if next != NIL {
+            self.prev[next as usize] = prev;
+        }
+        self.list_of[c] = NIL;
+        if list != FAR && next == NIL && prev == NIL {
+            self.clear_slot_bit(list as usize);
+        }
+    }
+
+    fn clear_slot_bit(&mut self, slot: usize) {
+        self.leaf[slot / 64] &= !(1 << (slot % 64));
+        if self.leaf[slot / 64] == 0 {
+            self.top &= !(1 << (slot / 64));
         }
     }
 
@@ -121,80 +174,62 @@ impl Calendar {
     /// schedules must target that cycle or later.
     pub fn pop_next(&mut self, due: &mut Vec<u32>) -> Option<u64> {
         due.clear();
-        loop {
-            // Pull overflow hints the window has slid onto (or, with an
-            // empty ring, rebase straight onto the far minimum) before
-            // trusting the ring scan.
-            if !self.far.is_empty() {
-                self.sync_far();
-            }
-            let (t, slot) = self.nearest_slot()?;
-            self.base = t;
-            self.leaf[slot / 64] &= !(1 << (slot % 64));
-            if self.leaf[slot / 64] == 0 {
-                self.top &= !(1 << (slot / 64));
-            }
-            for (cycle, comp) in self.ring[slot].drain(..) {
-                // Live iff the hint matches the authoritative schedule;
-                // duplicates die because the first hit clears it. Hints
-                // from previous window rotations (cycle != t) are dead
-                // by construction: the window never slides past a live
-                // schedule.
-                if cycle == t && self.scheduled[comp as usize] == t {
-                    self.scheduled[comp as usize] = NONE;
-                    due.push(comp);
-                }
-            }
-            if !due.is_empty() {
-                return Some(t);
-            }
+        // Pull overflow entries the window has slid onto (or, with an
+        // empty ring, rebase straight onto the far minimum) before
+        // trusting the ring scan.
+        if self.heads[FAR as usize] != NIL {
+            self.sync_far();
         }
+        let slot = self.nearest_slot()?;
+        let start = (self.base & (RING as u64 - 1)) as usize;
+        let t = self.base.wrapping_add(((slot + RING - start) % RING) as u64);
+        self.base = t;
+        self.clear_slot_bit(slot);
+        let mut comp = std::mem::replace(&mut self.heads[slot], NIL);
+        while comp != NIL {
+            let c = comp as usize;
+            debug_assert_eq!(self.scheduled[c], t, "ring entries are live and in-window");
+            self.scheduled[c] = NONE;
+            self.list_of[c] = NIL;
+            due.push(comp);
+            comp = self.next[c];
+        }
+        Some(t)
     }
 
-    /// The nearest occupied ring slot from `base` and the cycle its
-    /// in-window hints correspond to.
-    fn nearest_slot(&self) -> Option<(u64, usize)> {
+    /// The nearest occupied ring slot at or after `base`'s slot, in
+    /// ring order. Every listed entry is live and inside the window, so
+    /// it holds the earliest ring cycle.
+    fn nearest_slot(&self) -> Option<usize> {
         if self.top == 0 {
             return None;
         }
         let start = (self.base & (RING as u64 - 1)) as usize;
-        let mut best: Option<(u64, usize)> = None;
-        let mut top = self.top;
-        while top != 0 {
-            let w = top.trailing_zeros() as usize;
-            top &= top - 1;
-            let mut word = self.leaf[w];
-            while word != 0 {
-                let b = word.trailing_zeros() as usize;
-                word &= word - 1;
-                let slot = w * 64 + b;
-                // Distance of this slot's in-window cycle from base.
-                let dist = ((slot + RING - start) % RING) as u64;
-                if best.is_none_or(|(c, _)| dist < c.wrapping_sub(self.base)) {
-                    best = Some((self.base.wrapping_add(dist), slot));
-                }
-            }
+        let (w0, b0) = (start / 64, start % 64);
+        let here = self.leaf[w0] & (u64::MAX << b0);
+        if here != 0 {
+            return Some(w0 * 64 + here.trailing_zeros() as usize);
         }
-        best
+        // Later words first, then wrap round to the lowest occupied
+        // word (which may be `w0`'s bits below `b0`).
+        let later = self.top & u64::MAX.checked_shl(w0 as u32 + 1).unwrap_or(0);
+        let w = if later != 0 { later } else { self.top }.trailing_zeros() as usize;
+        Some(w * 64 + self.leaf[w].trailing_zeros() as usize)
     }
 
-    /// Purges dead overflow hints, rebases an empty ring onto the far
-    /// minimum, and migrates every in-window hint into the ring. Live
-    /// hints are never behind `base` (the window never slides past a
-    /// live schedule), so the purged minimum is a safe rebase target.
+    /// Rebases an empty ring onto the far minimum and migrates every
+    /// in-window far entry into the ring. Live entries are never behind
+    /// `base` (the window never slides past a live schedule), so the
+    /// minimum is a safe rebase target.
     fn sync_far(&mut self) {
         let mut min: Option<u64> = None;
-        let mut i = 0;
-        while i < self.far.len() {
-            let (at, comp) = self.far[i];
-            if self.scheduled[comp as usize] != at {
-                self.far.swap_remove(i);
-                continue;
-            }
+        let mut comp = self.heads[FAR as usize];
+        while comp != NIL {
+            let at = self.scheduled[comp as usize];
             if min.is_none_or(|m| at.wrapping_sub(self.base) < m.wrapping_sub(self.base)) {
                 min = Some(at);
             }
-            i += 1;
+            comp = self.next[comp as usize];
         }
         let Some(m) = min else { return };
         if self.top == 0 {
@@ -203,15 +238,15 @@ impl Calendar {
         if m.wrapping_sub(self.base) >= RING as u64 {
             return;
         }
-        let mut i = 0;
-        while i < self.far.len() {
-            let (at, comp) = self.far[i];
+        let mut comp = self.heads[FAR as usize];
+        while comp != NIL {
+            let following = self.next[comp as usize];
+            let at = self.scheduled[comp as usize];
             if at.wrapping_sub(self.base) < RING as u64 {
-                self.far.swap_remove(i);
-                self.insert_hint(comp, at);
-            } else {
-                i += 1;
+                self.unlink(comp);
+                self.link(comp, at);
             }
+            comp = following;
         }
     }
 }
@@ -236,6 +271,10 @@ mod tests {
             if at.wrapping_sub(self.base) < e.wrapping_sub(self.base) {
                 *e = at;
             }
+        }
+
+        fn cancel(&mut self, comp: u32) {
+            self.scheduled.remove(&comp);
         }
 
         fn pop_next(&mut self) -> Option<(u64, Vec<u32>)> {
@@ -356,11 +395,12 @@ mod tests {
     }
 
     /// Differential fuzz against the min-scan reference: random
-    /// interleavings of schedules (near, far, duplicate, re-pull) and
-    /// pops, including bases near the u64 wrap, must pop identical
-    /// (cycle, component-set) sequences. This is the never-skip-past-
-    /// the-nearest-event invariant: the calendar may never report a
-    /// cycle later than the true minimum.
+    /// interleavings of schedules (near, far, duplicate, re-pull),
+    /// cancels, far entries pulled earlier (into the window or still
+    /// beyond it) and pops, including bases near the u64 wrap, must pop
+    /// identical (cycle, component-set) sequences. This is the never-
+    /// skip-past-the-nearest-event invariant: the calendar may never
+    /// report a cycle later than the true minimum.
     #[test]
     fn differential_fuzz_against_min_scan_reference() {
         for seed in 0..32u64 {
@@ -371,30 +411,52 @@ mod tests {
             let mut now = start;
             let mut due = Vec::new();
             for _ in 0..600 {
-                if !rng.next_u64().is_multiple_of(3) {
-                    let comp = (rng.next_u64() % 24) as u32;
-                    // Mix in-window, boundary and multi-rotation-far
-                    // offsets, including 0 (schedule at `now`).
-                    let at = now.wrapping_add(match rng.next_u64() % 5 {
-                        0 => 0,
-                        1 => rng.next_u64() % 8,
-                        2 => rng.next_u64() % 4096,
-                        3 => 4095 + rng.next_u64() % 3,
-                        _ => rng.next_u64() % 50_000,
-                    });
-                    cal.schedule(comp, at);
-                    naive.schedule(comp, at);
-                } else {
-                    let got = cal.pop_next(&mut due).map(|t| {
-                        due.sort_unstable();
-                        (t, due.clone())
-                    });
-                    let want = naive.pop_next();
-                    assert_eq!(got, want, "seed {seed} diverged at now {now}");
-                    if let Some((t, _)) = got {
-                        now = t;
+                let comp = (rng.next_u64() % 24) as u32;
+                match rng.next_u64() % 12 {
+                    0..=5 => {
+                        // Mix in-window, boundary and multi-rotation-far
+                        // offsets, including 0 (schedule at `now`).
+                        let at = now.wrapping_add(match rng.next_u64() % 5 {
+                            0 => 0,
+                            1 => rng.next_u64() % 8,
+                            2 => rng.next_u64() % 4096,
+                            3 => 4095 + rng.next_u64() % 3,
+                            _ => rng.next_u64() % 50_000,
+                        });
+                        cal.schedule(comp, at);
+                        naive.schedule(comp, at);
+                    }
+                    6 => {
+                        cal.cancel(comp);
+                        naive.cancel(comp);
+                    }
+                    7 => {
+                        // Pull a pending wake-up earlier: from a far entry
+                        // this lands in the window or stays far.
+                        if let Some(at) = cal.scheduled_at(comp) {
+                            let ahead = at.wrapping_sub(now);
+                            let pulled = now.wrapping_add(rng.next_u64() % (ahead + 1));
+                            cal.schedule(comp, pulled);
+                            naive.schedule(comp, pulled);
+                        }
+                    }
+                    _ => {
+                        let got = cal.pop_next(&mut due).map(|t| {
+                            due.sort_unstable();
+                            (t, due.clone())
+                        });
+                        let want = naive.pop_next();
+                        assert_eq!(got, want, "seed {seed} diverged at now {now}");
+                        if let Some((t, _)) = got {
+                            now = t;
+                        }
                     }
                 }
+                assert_eq!(
+                    cal.scheduled_at(comp),
+                    naive.scheduled.get(&comp).copied(),
+                    "seed {seed}: component {comp} disagrees"
+                );
             }
             // Drain both to the end.
             loop {

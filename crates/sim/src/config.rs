@@ -1,13 +1,14 @@
 //! System and experiment configuration (paper Table 1).
 
 use orderlight::mapping::{AddressMapping, GroupMap};
+use orderlight::types::MemGroupId;
 use orderlight::ConfigError;
 use orderlight_gpu::SmConfig;
 use orderlight_hbm::{RefreshParams, TimingParams};
 use orderlight_memctrl::McConfig;
 use orderlight_noc::PipeConfig;
 use orderlight_pim::TsSize;
-use orderlight_workloads::{OrderingMode, WorkloadId};
+use orderlight_workloads::{Layout, OrderingMode, WorkloadId};
 
 /// The full-system configuration. Defaults reproduce Table 1:
 ///
@@ -260,7 +261,37 @@ impl ExperimentConfig {
                 self.data_bytes_per_channel
             )));
         }
+        Layout::try_with_interleave(
+            self.system.mapping.clone(),
+            &self.system.groups,
+            MemGroupId(0),
+            self.workload.spec().structures,
+            self.stripes_per_channel(),
+            self.placement().0,
+        )
+        .map_err(|e| {
+            ConfigError::new(format!(
+                "job size does not fit the bank regions (data_bytes_per_channel = {}): {e}",
+                self.data_bytes_per_channel
+            ))
+        })?;
         Ok(())
+    }
+
+    /// Data placement: `(bank_interleave, host_slices)`. Host data
+    /// interleaves across the group's banks for bank-level parallelism
+    /// and is processed by all configured warps; PIM uses the paper's
+    /// single-bank placement and one warp per channel.
+    #[must_use]
+    pub(crate) fn placement(&self) -> (u64, u64) {
+        let sys = &self.system;
+        match self.mode {
+            ExecMode::Gpu => {
+                let total_warps = sys.sms_used * sys.warps_per_sm;
+                (sys.groups.banks_per_group() as u64, (total_warps / sys.channels).max(1) as u64)
+            }
+            ExecMode::Pim(_) => (1, 1),
+        }
     }
 }
 

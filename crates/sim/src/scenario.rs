@@ -256,7 +256,9 @@ impl ScenarioBuilder {
     /// Sets the data size in KiB per structure per channel.
     #[must_use]
     pub fn data_kb(self, kb: u64) -> Self {
-        self.data_bytes_per_channel(kb * 1024)
+        // Saturating: an absurd size must reach `build`'s capacity
+        // check, not overflow here.
+        self.data_bytes_per_channel(kb.saturating_mul(1024))
     }
 
     /// Sets the sequence-number baseline's credit count.
@@ -384,6 +386,27 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(err.to_string().contains("bmf = 0"), "got: {err}");
+    }
+
+    /// A job too large for the bank regions is a typed error naming the
+    /// size, under both placements, not a panic in the layout.
+    #[test]
+    fn builder_rejects_data_beyond_the_bank_regions() {
+        for mode in [ExecMode::Gpu, ExecMode::Pim(OrderingMode::OrderLight)] {
+            for kb in [1 << 30, u64::MAX] {
+                let err = ScenarioBuilder::new(WorkloadId::Add, mode)
+                    .data_kb(kb)
+                    .build()
+                    .expect_err("data beyond the bank regions");
+                let bytes = kb.saturating_mul(1024);
+                assert!(
+                    err.to_string().contains(&format!("data_bytes_per_channel = {bytes}")),
+                    "got: {err}"
+                );
+            }
+            // The largest tested size the layout holds still builds.
+            ScenarioBuilder::new(WorkloadId::Add, mode).data_kb(16 * 1024).build().unwrap();
+        }
     }
 
     #[test]

@@ -37,7 +37,8 @@
 //! field / bad value, see [`crate::schema::SchemaError`]), `config`
 //! (fields valid but
 //! inconsistent), `sim` (the run itself failed) or `proto` (bad admin
-//! command).
+//! command, or a request line over [`MAX_LINE_BYTES`]). A non-UTF-8
+//! line is a `parse` error.
 //!
 //! ## The telemetry plane
 //!
@@ -106,6 +107,11 @@ pub const FLIGHT_RECORDER_ERRORS: usize = 32;
 /// shutdown, so `run` can join handler threads even when a client
 /// holds an idle connection open.
 const READ_POLL: Duration = Duration::from_millis(100);
+
+/// Longest request line the server reads, newline excluded. A longer
+/// line is answered with a `proto` error and skipped, so one client
+/// cannot grow a server buffer without bound.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// What a worker reports back to the connection handler that enqueued
 /// the job.
@@ -555,16 +561,15 @@ fn handle_connection(stream: TcpStream, shared: &Shared, self_addr: SocketAddr) 
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // The line read so far (newline included once it arrives). A read
+    // timeout keeps it, so a client may pause mid-line.
+    let mut line = Vec::new();
+    // Set once the line outgrew `MAX_LINE_BYTES`: it has been answered,
+    // and its remaining bytes are discarded up to the newline.
+    let mut overlong = false;
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
-            Ok(n) => {
-                if let Some(t) = &shared.telemetry {
-                    t.io_bytes_in.add(n as u64);
-                }
-            }
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 if shared.shutting_down() {
                     return;
@@ -572,14 +577,60 @@ fn handle_connection(stream: TcpStream, shared: &Shared, self_addr: SocketAddr) 
                 continue;
             }
             Err(_) => return,
+        };
+        let eof = chunk.is_empty();
+        let (take, complete) = match chunk.iter().position(|&b| b == b'\n') {
+            Some(i) => (i + 1, true),
+            None => (chunk.len(), eof),
+        };
+        if !overlong {
+            line.extend_from_slice(&chunk[..take]);
         }
-        if line.trim().is_empty() {
-            continue;
+        reader.consume(take);
+        if let Some(t) = &shared.telemetry {
+            t.io_bytes_in.add(take as u64);
         }
-        if !handle_request(line.trim(), &mut writer, shared, self_addr) {
-            return;
+        if !overlong && line.len() > MAX_LINE_BYTES + usize::from(line.ends_with(b"\n")) {
+            overlong = true;
+            line = Vec::new();
+            if !reject_line(
+                &mut writer,
+                shared,
+                "proto",
+                &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+            ) {
+                return;
+            }
+        }
+        if complete {
+            let keep_open = if std::mem::take(&mut overlong) {
+                true
+            } else {
+                match std::str::from_utf8(&line) {
+                    Ok(text) if text.trim().is_empty() => true,
+                    Ok(text) => handle_request(text.trim(), &mut writer, shared, self_addr),
+                    Err(_) => {
+                        reject_line(&mut writer, shared, "parse", "request line is not UTF-8")
+                    }
+                }
+            };
+            line.clear();
+            if eof || !keep_open {
+                return;
+            }
         }
     }
+}
+
+/// Answers a request line that never reaches the JSON parser with a
+/// typed error. Returns `false` when the connection should close.
+fn reject_line(writer: &mut TcpStream, shared: &Shared, kind: &str, message: &str) -> bool {
+    let start = Instant::now();
+    if let Some(t) = &shared.telemetry {
+        t.requests_received.inc();
+    }
+    let reply = error_reply(None, kind, message);
+    fail(writer, shared, start, SpanPhases::default(), &reply)
 }
 
 /// Writes an error reply, committing its telemetry first.

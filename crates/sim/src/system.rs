@@ -14,7 +14,7 @@ use crate::core_select::{resolve_core, SimCore};
 use crate::stats::RunStats;
 use orderlight::fault::{FaultLayer, FaultPlan};
 use orderlight::types::{ChannelId, CoreCycle, GlobalWarpId, MemCycle, MemGroupId};
-use orderlight::{ConfigError, InstrStream, MemReq, NextEvent};
+use orderlight::{ConfigError, InstrStream, MemReq, MemResp, NextEvent};
 use orderlight_gpu::{Sm, SmStats, Warp};
 use orderlight_hbm::Channel;
 use orderlight_memctrl::{McConfig, McStats, MemoryController};
@@ -72,6 +72,10 @@ pub struct System {
     /// When recording, the core cycles the event core executed densely
     /// (the boundaries of its skipped windows). `None` = off.
     skip_log: Option<Vec<CoreCycle>>,
+    /// Responses of the controller being ticked: one buffer reused
+    /// across every memory tick, so a tick that answers allocates
+    /// nothing.
+    resps: Vec<MemResp>,
 }
 
 /// Scratch state of one event-core run: the calendar of per-component
@@ -103,16 +107,7 @@ impl System {
     pub fn build(exp: ExperimentConfig) -> Result<System, ConfigError> {
         exp.validate()?;
         let sys = &exp.system;
-        // Host data interleaves across the group's banks for bank-level
-        // parallelism and is processed by all configured warps; PIM uses
-        // the paper's single-bank placement and one warp per channel.
-        let total_warps = sys.sms_used * sys.warps_per_sm;
-        let (interleave, host_slices) = match exp.mode {
-            ExecMode::Gpu => {
-                (sys.groups.banks_per_group() as u64, (total_warps / sys.channels).max(1) as u64)
-            }
-            ExecMode::Pim(_) => (1, 1),
-        };
+        let (interleave, host_slices) = exp.placement();
         let instance = WorkloadInstance::with_placement(
             exp.workload,
             sys.mapping.clone(),
@@ -234,6 +229,7 @@ impl System {
             mem_now: 0,
             clock_acc: 0,
             skip_log: None,
+            resps: Vec::new(),
         })
     }
 
@@ -426,7 +422,8 @@ impl System {
         while self.clock_acc >= self.core_hz {
             self.clock_acc -= self.core_hz;
             for (ch, mc) in self.mcs.iter_mut().enumerate() {
-                for resp in mc.tick(self.mem_now) {
+                mc.tick_into(self.mem_now, &mut self.resps);
+                for resp in self.resps.drain(..) {
                     self.pipes[ch].push_response(resp, now);
                 }
             }
@@ -687,10 +684,11 @@ impl System {
                     continue;
                 }
                 self.catch_up_mc(ev, ch, m);
-                let resps = self.mcs[ch].tick(m);
+                self.mcs[ch].tick_into(m, &mut self.resps);
                 ev.mc_synced[ch] = m + 1;
                 ev.touched_mc[ch] = true;
-                for resp in resps {
+                for i in 0..self.resps.len() {
+                    let resp = self.resps[i];
                     // The receiving pipe must have accounted cycle `t`
                     // (dense pipes tick in phase 3, before responses
                     // arrive) so its periodic samples exclude the
@@ -699,6 +697,7 @@ impl System {
                     self.pipes[ch].push_response(resp, t);
                     ev.touched_pipe[ch] = true;
                 }
+                self.resps.clear();
             }
             self.mem_now += 1;
         }

@@ -10,6 +10,7 @@
 
 use orderlight::mapping::{AddressMapping, GroupMap};
 use orderlight::types::{Addr, ChannelId, MemGroupId, BUS_BYTES};
+use orderlight::ConfigError;
 
 /// Placement of a kernel's data structures within each channel.
 #[derive(Debug, Clone)]
@@ -59,22 +60,63 @@ impl Layout {
         stripes_per_structure: u64,
         interleave: u64,
     ) -> Self {
-        assert!(
-            interleave >= 1 && interleave <= groups.banks_per_group() as u64,
-            "interleave must be within the group's banks"
-        );
+        Layout::try_with_interleave(
+            mapping,
+            groups,
+            group,
+            structures,
+            stripes_per_structure,
+            interleave,
+        )
+        .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`with_interleave`](Self::with_interleave) for sizes that come
+    /// from outside the program.
+    ///
+    /// # Errors
+    /// Returns [`ConfigError`] if `interleave` is zero or exceeds the
+    /// group's banks, or if the structures do not fit in the banks' row
+    /// regions.
+    pub fn try_with_interleave(
+        mapping: AddressMapping,
+        groups: &GroupMap,
+        group: MemGroupId,
+        structures: usize,
+        stripes_per_structure: u64,
+        interleave: u64,
+    ) -> Result<Self, ConfigError> {
+        let banks = groups.banks_per_group() as u64;
+        if interleave == 0 || interleave > banks {
+            return Err(ConfigError::new(format!(
+                "interleave must be within the group's banks (interleave = {interleave}, \
+                 banks per group = {banks})"
+            )));
+        }
         let row_bytes = mapping.row_bytes();
-        let rows = (stripes_per_structure * BUS_BYTES as u64).div_ceil(row_bytes);
         // Rows per bank for one structure, rounded so streams of
         // different structures never share a row.
-        let structure_span = rows.div_ceil(interleave) * row_bytes;
-        let base_offset = mapping.bank_base_offset(groups.first_bank_of(group));
-        assert!(
-            structure_span * structures as u64 <= mapping.bank_span_bytes(),
-            "kernel data ({} structures x {structure_span} B) exceeds the bank regions",
-            structures
-        );
-        Layout { mapping, group, base_offset, structure_span, stripes_per_structure, interleave }
+        let structure_span = stripes_per_structure
+            .checked_mul(BUS_BYTES as u64)
+            .map(|bytes| bytes.div_ceil(row_bytes).div_ceil(interleave) * row_bytes);
+        let region = mapping.bank_span_bytes();
+        match structure_span {
+            Some(span) if span.checked_mul(structures as u64).is_some_and(|b| b <= region) => {
+                let base_offset = mapping.bank_base_offset(groups.first_bank_of(group));
+                Ok(Layout {
+                    mapping,
+                    group,
+                    base_offset,
+                    structure_span: span,
+                    stripes_per_structure,
+                    interleave,
+                })
+            }
+            _ => Err(ConfigError::new(format!(
+                "kernel data ({structures} structures x {stripes_per_structure} stripes) \
+                 exceeds the bank regions ({region} B per bank)"
+            ))),
+        }
     }
 
     /// The memory group the data lives in.

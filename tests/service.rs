@@ -463,6 +463,60 @@ fn deeply_nested_line_is_a_typed_parse_error_and_the_connection_survives() {
     shutdown(&addr, handle);
 }
 
+/// A line longer than the server's cap is answered with a typed
+/// `proto` error as soon as the cap is passed, without waiting for its
+/// newline; the server skips the rest of it and keeps serving. A
+/// non-UTF-8 line is a typed `parse` error.
+#[test]
+fn overlong_line_is_a_typed_proto_error_and_the_server_keeps_serving() {
+    use orderlight_suite::sim::service::MAX_LINE_BYTES;
+    use std::io::BufRead;
+    let (addr, handle) = start_server(1);
+    let stream = TcpStream::connect(&addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = std::io::BufReader::new(stream);
+    writer.write_all(&vec![b'x'; 2 * MAX_LINE_BYTES]).expect("hostile bytes written");
+    let mut reply = String::new();
+    assert!(reader.read_line(&mut reply).expect("reply read") > 0, "server hung up");
+    let doc = json::parse(reply.trim()).expect("reply parses");
+    assert_eq!(doc.get("reply").and_then(json::Value::as_str), Some("error"));
+    assert_eq!(doc.get("kind").and_then(json::Value::as_str), Some("proto"), "{doc:?}");
+    // Another connection gets the exact result meanwhile.
+    let replies = request(&addr, &add_request()).expect("request round-trips");
+    assert_eq!(extract_stats(replies.last().unwrap()).as_deref(), Some(direct_stats().as_str()));
+    // Ending the long line frees this connection too.
+    writer.write_all(b"\n\xff\xfe\n").expect("line end and bad bytes written");
+    reply.clear();
+    assert!(reader.read_line(&mut reply).expect("reply read") > 0, "server hung up");
+    let doc = json::parse(reply.trim()).expect("reply parses");
+    assert_eq!(doc.get("kind").and_then(json::Value::as_str), Some("parse"), "{doc:?}");
+    let replies = exchange(&mut writer, &mut reader, &add_request());
+    assert_eq!(extract_stats(replies.last().unwrap()).as_deref(), Some(direct_stats().as_str()));
+    drop((writer, reader));
+    shutdown(&addr, handle);
+}
+
+/// A scenario whose data does not fit the bank regions is a typed
+/// `config` error naming the size, and the server keeps serving.
+#[test]
+fn oversized_data_is_a_typed_config_error() {
+    let (addr, handle) = start_server(1);
+    let line = format!(
+        r#"{{"schema": "{SCENARIO_SCHEMA_V1}", "workload": "Add", "data_kb": 1000000000}}"#
+    );
+    let doc = result_of(&addr, &line);
+    assert_eq!(doc.get("kind").and_then(json::Value::as_str), Some("config"), "{doc:?}");
+    assert!(
+        doc.get("message")
+            .and_then(json::Value::as_str)
+            .is_some_and(|m| m.contains("data_bytes_per_channel = 1024000000000")),
+        "{doc:?}"
+    );
+    let replies = request(&addr, &add_request()).expect("request round-trips");
+    assert_eq!(extract_stats(replies.last().unwrap()).as_deref(), Some(direct_stats().as_str()));
+    shutdown(&addr, handle);
+}
+
 /// A served miss streams several reply lines (accepted, running,
 /// result). On a long-lived connection, with Nagle's algorithm on the
 /// server's socket, each line after the first waits for the client's
